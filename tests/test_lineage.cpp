@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -149,6 +150,172 @@ TEST(LineageTracker, FaultFreeAuditIsExactAndConservesHops) {
   // it holds, so the conservation equation closes with zero untracked.
   EXPECT_EQ(lin.untracked_total(), 0u);
   expect_conserves_hops(lin, out.report.links);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned digest over a grid of runs: every field of every snapshot (chains,
+// hops, witnesses, audit) folded into one FNV-1a hash. The grid spans Q_3–Q_6;
+// uniform, three-distinct-value and organ-pipe inputs; key counts that leave
+// dummies; plain runs with r = 0–2, full and half exchange, FullSort Step 8
+// and host I/O fan-out; recovery runs with 0, 1 and 2 kills; and both
+// executors. Any change to the lineage internals must leave it untouched.
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add_signed(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+};
+
+void digest_snapshot(Fnv& f, const sim::LineageSnapshot& s) {
+  f.add(s.enabled);
+  f.add_signed(s.dim);
+  f.add(s.assigned);
+  f.add(s.dummies);
+  f.add(s.dropped_events);
+  f.add(s.resolve_mismatches);
+  f.add(s.untracked.size());
+  for (const std::uint64_t u : s.untracked) f.add(u);
+  f.add(s.keys.size());
+  for (const sim::LineageKeyRecord& k : s.keys) {
+    f.add_signed(k.value);
+    f.add(k.origin);
+    f.add(k.holder);
+    f.add(k.dummy);
+    f.add(k.retired);
+    f.add(k.lost);
+    f.add(k.salvaged);
+    f.add(k.witness);
+    f.add_signed(k.witness_step);
+    f.add(k.moves);
+    f.add(k.hops.size());
+    for (const std::uint64_t h : k.hops) f.add(h);
+    f.add(k.chain.size());
+    for (const sim::LineageEvent& ev : k.chain) {
+      f.add(static_cast<std::uint64_t>(ev.kind));
+      f.add(static_cast<std::uint64_t>(ev.phase));
+      f.add(ev.node);
+      f.add(ev.peer);
+      f.add_signed(ev.step);
+    }
+  }
+  const sim::LineageAudit& a = s.audit;
+  f.add(a.checked);
+  f.add(a.ok);
+  f.add(a.lost.size());
+  for (const auto& l : a.lost) {
+    f.add(l.id);
+    f.add_signed(l.value);
+    f.add(l.last_holder);
+    f.add(static_cast<std::uint64_t>(l.phase));
+  }
+  f.add(a.duplicated.size());
+  for (const auto& d : a.duplicated) {
+    f.add_signed(d.value);
+    f.add(d.extra);
+  }
+  f.add(a.salvaged);
+  f.add(a.witnessed_salvaged);
+}
+
+std::vector<sort::Key> grid_input(int shape, std::size_t count,
+                                  std::uint64_t seed) {
+  util::Rng rng(seed);
+  switch (shape) {
+    case 0: return sort::gen_uniform(count, rng);
+    case 1: return sort::gen_few_distinct(count, 3, rng);
+    default: return sort::gen_organ_pipe(count);
+  }
+}
+
+TEST(LineageDigest, GridSnapshotsMatchPinnedDigest) {
+  Fnv digest;
+  std::size_t runs = 0;
+  std::size_t degraded = 0;
+  // Coverage of the grid: salvage, untracked words and retired dummies.
+  std::uint64_t salvaged = 0, untracked = 0, retired = 0;
+  const auto run_both = [&](cube::Dim n, const fault::FaultSet& faults,
+                            core::SortConfig cfg,
+                            const std::vector<sort::Key>& keys) {
+    cfg.record_lineage = true;
+    sim::LineageSnapshot first;
+    for (const core::Executor exec :
+         {core::Executor::Sequential, core::Executor::Threaded}) {
+      cfg.executor = exec;
+      ++runs;
+      try {
+        const core::FaultTolerantSorter sorter(n, faults, cfg);
+        const core::SortOutcome out = sorter.sort(keys);
+        const sim::LineageSnapshot& lin = out.report.lineage;
+        digest_snapshot(digest, lin);
+        salvaged += lin.audit.salvaged;
+        untracked += lin.untracked_total();
+        retired += static_cast<std::uint64_t>(
+            std::count_if(lin.keys.begin(), lin.keys.end(),
+                          [](const auto& k) { return k.retired; }));
+        if (exec == core::Executor::Sequential)
+          first = out.report.lineage;
+        else
+          EXPECT_TRUE(first == out.report.lineage)
+              << "executors disagree at n=" << n << ", " << keys.size()
+              << " keys";
+      } catch (const core::DegradationError&) {
+        ++degraded;
+        digest.add(0xdeadull);
+      }
+    }
+  };
+
+  std::uint64_t seed = 9100;
+  for (cube::Dim n = 3; n <= 6; ++n)
+    for (int shape = 0; shape < 3; ++shape)
+      for (const std::size_t count : {std::size_t{97}, std::size_t{1000}}) {
+        const auto keys = grid_input(shape, count, ++seed);
+        util::Rng frng(seed * 31);
+        const fault::FaultSet f1 = fault::random_faults(n, 1, frng);
+        const fault::FaultSet f2 = fault::random_faults(n, 2, frng);
+
+        // Plain runs.
+        core::SortConfig plain;
+        plain.protocol = sort::ExchangeProtocol::FullExchange;
+        run_both(n, fault::FaultSet(n), plain, keys);
+        plain.protocol = sort::ExchangeProtocol::HalfExchange;
+        plain.charge_host_io = true;
+        run_both(n, f1, plain, keys);
+        plain.protocol = sort::ExchangeProtocol::FullExchange;
+        plain.charge_host_io = false;
+        plain.step8 = core::Step8Mode::FullSort;
+        run_both(n, f2, plain, keys);
+
+        // Recovery runs, patience tiers scaled to the fault-free makespan.
+        core::SortConfig rec;
+        rec.online_recovery = true;
+        const sim::SimTime t0 =
+            core::FaultTolerantSorter(n, fault::FaultSet(n), rec)
+                .sort(keys)
+                .report.makespan;
+        rec.recovery.detect_patience = 1.0 * t0;
+        rec.recovery.collect_patience = 2.5 * t0;
+        rec.recovery.verdict_patience = 50.0 * t0;
+        run_both(n, f1, rec, keys);
+        const cube::NodeId last = cube::num_nodes(n) - 1;
+        rec.injector.kill_node_at(last, 0.4 * t0);
+        run_both(n, fault::FaultSet(n), rec, keys);
+        rec.injector.kill_node_at(cube::num_nodes(n) / 2 + 1, 0.7 * t0);
+        run_both(n, fault::FaultSet(n), rec, keys);
+      }
+  EXPECT_EQ(runs, 288u);
+  EXPECT_LT(degraded, runs / 4);
+  EXPECT_GT(salvaged, 0u);
+  EXPECT_GT(untracked, 0u);
+  EXPECT_GT(retired, 0u);
+  std::ostringstream hex;
+  hex << std::hex << digest.h;
+  EXPECT_EQ(hex.str(), "71dd6b26e5555849") << runs << " runs, " << degraded << " degraded";
 }
 
 // ---------------------------------------------------------------------------
