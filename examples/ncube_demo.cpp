@@ -14,6 +14,7 @@
 #include "core/ft_sorter.hpp"
 #include "fault/diagnosis.hpp"
 #include "fault/scenario.hpp"
+#include "sim/trace.hpp"
 #include "sort/distribution.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -65,7 +66,8 @@ int main(int argc, char** argv) {
                                  outcome.sorted.end()) &&
                   outcome.sorted.size() == keys.size();
   std::cout << "fault-tolerant sort: " << (ok ? "OK" : "FAILED") << "\n";
-  if (config.record_trace) std::cout << outcome.trace << "\n";
+  if (config.record_trace)
+    std::cout << sim::format_trace(outcome.trace_events, 200) << "\n";
 
   // Baseline for the same scenario.
   const auto baseline = baseline::mfs_bitonic_sort(

@@ -19,6 +19,7 @@
 
 #include "core/ft_sorter.hpp"
 #include "sim/exporters.hpp"
+#include "sim/trace.hpp"
 #include "sort/distribution.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
                "detecting the loss):\n";
   // Show only the interesting kinds; the full trace is huge.
   std::size_t shown = 0;
-  std::istringstream lines(out.trace);
+  std::istringstream lines(sim::format_trace(out.trace_events, 50'000));
   for (std::string line; std::getline(lines, line) && shown < 24;) {
     if (line.find("kill") != std::string::npos ||
         line.find("timeout") != std::string::npos ||

@@ -131,9 +131,9 @@ struct SortOutcome {
   std::vector<sort::Key> sorted;  ///< all input keys, ascending
   sim::RunReport report;          ///< logical time & traffic of the run
   std::size_t block_size = 0;     ///< ⌈M / N'⌉
-  std::string trace;              ///< event dump when record_trace was set
-  /// Raw events when record_trace was set — feed to
-  /// sim::write_chrome_trace for a Perfetto-loadable timeline.
+  /// Raw events when record_trace was set — render with
+  /// sim::format_trace, or feed to sim::write_chrome_trace for a
+  /// Perfetto-loadable timeline.
   std::vector<sim::TraceEvent> trace_events;
 };
 

@@ -571,12 +571,7 @@ SortOutcome recovery_sort(const partition::Plan& plan0,
     if (sh.degraded.load()) throw degradation_error(sh.first_reason());
     throw;
   }
-  // Recovery traces are long (two sorts plus the negotiation); raise the
-  // dump cap so the death and the restart are actually visible.
-  if (config.record_trace) {
-    out.trace = machine.trace().to_string(50'000);
-    out.trace_events = machine.trace().snapshot();
-  }
+  if (config.record_trace) out.trace_events = machine.trace().snapshot();
   if (sh.degraded.load()) throw degradation_error(sh.first_reason());
   if (sh.final_attempt < 0)
     throw degradation_error(

@@ -37,12 +37,11 @@
 // site (NodeCtx::send) from the same router path.
 #pragma once
 
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <set>
 #include <span>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "hypercube/address.hpp"
@@ -180,8 +179,9 @@ void audit_lineage(LineageSnapshot& snap, std::span<const Key> output);
 /// Unlike the other registries it is NOT reset by instantiate_programs —
 /// scatter assignment happens host-side before the run starts.
 ///
-/// All mutation funnels through one mutex: lineage is a diagnostic layer,
-/// not a hot path, and a single lock keeps the pair-resolution protocol
+/// Campaign trials all run with lineage on, so the state is flat sorted
+/// arrays (DESIGN.md §7) with scratch reused across calls. All mutation
+/// funnels through one mutex, which keeps the pair-resolution protocol
 /// trivially atomic on the threaded executor.
 class Lineage {
  public:
@@ -237,40 +237,38 @@ class Lineage {
   LineageSnapshot snapshot() const;
 
  private:
-  struct Rec {
+  /// One id in a holding; holdings and pools sort by value, then id.
+  struct Held {
     Key value = 0;
-    cube::NodeId origin = 0;
-    cube::NodeId holder = 0;
-    bool dummy = false;
-    bool retired = false;
-    bool lost = false;
-    bool salvaged = false;
-    cube::NodeId witness = kLineageNoWitness;
-    std::int32_t witness_step = -1;
-    std::uint32_t moves = 0;
-    std::vector<std::uint64_t> hops;
-    std::vector<LineageEvent> chain;
+    std::uint64_t id = 0;
+    auto operator<=>(const Held&) const = default;
+  };
+  /// Two kMaxDim-bit node ids plus a 32-bit tag: 72 bits, not a uint64_t.
+  struct PairStep {
+    cube::NodeId lower = 0;
+    cube::NodeId higher = 0;
+    std::uint32_t tag = 0;
+    auto operator<=>(const PairStep&) const = default;
   };
 
-  using PairStep = std::tuple<cube::NodeId, cube::NodeId, std::uint32_t>;
-  static PairStep pair_key(cube::NodeId a, cube::NodeId b,
-                           std::uint32_t tag) {
-    return {a < b ? a : b, a < b ? b : a, tag};
-  }
-
   std::uint64_t mint(cube::NodeId node, Key value, Phase phase);
-  void append_event(Rec& rec, LineageEvent ev);
-  /// Insert `id` into node's value→ids holding, keeping the list sorted.
-  void hold(cube::NodeId node, Key value, std::uint64_t id);
+  void append_event(std::uint64_t id, LineageEvent ev);
+  /// `keys` itself when ascending, else a sorted copy in `sorted_`.
+  std::span<const Key> sorted_view(std::span<const Key> keys);
 
   bool enabled_ = false;
   cube::Dim dim_ = 0;
   mutable std::mutex mutex_;
-  std::vector<Rec> recs_;  ///< index = id
-  /// Per node: value → ascending ids currently held.
-  std::vector<std::map<Key, std::vector<std::uint64_t>>> holding_;
-  std::set<PairStep> resolved_;  ///< pair-steps already partitioned
+  std::vector<LineageKeyRecord> recs_;  ///< [id]; no hops/chain until snapshot
+  std::vector<std::uint64_t> hops_;       ///< [id × dim] link crossings
+  std::vector<std::uint32_t> chain_len_;  ///< [id] events appended
+  std::vector<std::pair<std::uint64_t, LineageEvent>> events_;  ///< (id, ev)
+  std::vector<std::vector<Held>> holding_;  ///< per node, sorted
+  std::vector<PairStep> resolved_;  ///< sorted; pair-steps already split
   std::vector<std::uint64_t> untracked_;  ///< [dim]
+  std::vector<Held> pool_;                ///< scratch: merged holdings
+  std::vector<Key> sorted_;               ///< scratch: sorted payload
+  std::vector<std::size_t> cursor_;       ///< scratch: per-value cursors
   std::uint64_t dummies_ = 0;
   std::uint64_t dropped_events_ = 0;
   std::uint64_t resolve_mismatches_ = 0;

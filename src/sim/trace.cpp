@@ -86,7 +86,11 @@ std::vector<TraceEvent> Trace::snapshot() const {
 }
 
 std::string Trace::to_string(std::size_t max_lines) const {
-  const std::vector<TraceEvent> events = snapshot();
+  return format_trace(snapshot(), max_lines);
+}
+
+std::string format_trace(std::span<const TraceEvent> events,
+                         std::size_t max_lines) {
   std::ostringstream os;
   std::size_t shown = 0;
   for (const auto& ev : events) {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,7 +108,7 @@ class Trace {
   /// record().
   std::vector<TraceEvent> snapshot() const;
 
-  /// Human-readable dump (one line per event), truncated to `max_lines`.
+  /// format_trace(snapshot(), max_lines).
   std::string to_string(std::size_t max_lines = 200) const;
 
  private:
@@ -125,5 +126,10 @@ class Trace {
   std::atomic<std::uint64_t> next_seq_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+/// Human-readable dump of `events` (one line per event), truncated to
+/// `max_lines` with a "... (N more events)" footer.
+std::string format_trace(std::span<const TraceEvent> events,
+                         std::size_t max_lines = 200);
 
 }  // namespace ftsort::sim

@@ -116,7 +116,8 @@ void Watchdog::run_monitor() {
         view.terminal = true;
         view.activity = "terminal";
       } else if (act == kActivityNone) {
-        view.activity = "-";
+        // Not `= "-"`: GCC 12 raises a bogus -Wrestrict on that at -O3.
+        view.activity.assign(1, '-');
       } else {
         view.activity = namer_ ? namer_(act) : std::to_string(act);
       }

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "baseline/mfs_sorter.hpp"
 #include "core/ft_sorter.hpp"
 #include "fault/scenario.hpp"
+#include "sim/trace.hpp"
 #include "sort/distribution.hpp"
 #include "util/rng.hpp"
 
@@ -89,8 +91,13 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple{6, 0}, std::tuple{6, 1}, std::tuple{6, 2},
         std::tuple{6, 3}, std::tuple{6, 4}, std::tuple{6, 5}),
     [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "r" +
-             std::to_string(std::get<1>(param_info.param));
+      // Appends, not `"n" + std::to_string(...)`: GCC 12 raises a bogus
+      // -Wrestrict on literal + temporary string at -O3.
+      std::string name("n");
+      name += std::to_string(std::get<0>(param_info.param));
+      name += 'r';
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------
@@ -311,8 +318,9 @@ TEST(TimingInvariants, TraceCapturesWhenRequested) {
   config.record_trace = true;
   FaultTolerantSorter sorter(4, faults, config);
   const auto outcome = sorter.sort(keys);
-  EXPECT_FALSE(outcome.trace.empty());
-  EXPECT_NE(outcome.trace.find("send"), std::string::npos);
+  const std::string trace = sim::format_trace(outcome.trace_events, 200);
+  EXPECT_FALSE(trace.empty());
+  EXPECT_NE(trace.find("send"), std::string::npos);
 }
 
 }  // namespace
