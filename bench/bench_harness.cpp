@@ -216,19 +216,21 @@ Metrics run_end_to_end(const std::string& name, cube::Dim n,
 }
 
 /// Pin the process-global kernel backend for one micro's timed reps and
-/// restore the scalar default afterwards. Records the backend actually in
+/// restore the backend that was active before. Records the backend actually in
 /// effect (a Simd request degrades to Scalar off-AVX2) so the wall-time
 /// gate can refuse to compare across backends.
 class BackendScope {
  public:
   explicit BackendScope(sort::KernelBackend requested)
-      : effective_(sort::set_kernel_backend(requested)) {}
-  ~BackendScope() { sort::set_kernel_backend(sort::KernelBackend::Scalar); }
+      : previous_(sort::active_kernel_backend()),
+        effective_(sort::set_kernel_backend(requested)) {}
+  ~BackendScope() { sort::set_kernel_backend(previous_); }
   const char* name() const {
     return effective_ == sort::KernelBackend::Simd ? "simd" : "scalar";
   }
 
  private:
+  sort::KernelBackend previous_;
   sort::KernelBackend effective_;
 };
 

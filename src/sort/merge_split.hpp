@@ -80,8 +80,10 @@ enum class KernelBackend {
 /// and this CPU supports them (AVX2).
 bool simd_kernels_available();
 
-/// Select the process-global kernel backend. Requests for Simd degrade to
-/// Scalar when unavailable; returns the backend actually in effect.
+/// Select the process-global kernel backend. A fresh process starts on
+/// Simd where `simd_kernels_available()`, else on Scalar. Requests for
+/// Simd degrade to Scalar when unavailable; returns the backend actually
+/// in effect.
 KernelBackend set_kernel_backend(KernelBackend requested);
 
 KernelBackend active_kernel_backend();

@@ -9,22 +9,50 @@ namespace ftsort::sort {
 namespace {
 
 /// Restore the max-heap property below `root` within data[0 .. size).
+///
+/// Bottom-up (Wegener 1993): walk the larger-child path to a leaf, moving
+/// each key up one level, then climb back while the moved-up key is `<=`
+/// the sifted key `x`. The key lands exactly where the textbook loop
+/// would put it — the first key on the path that is `<= x` (path keys
+/// never increase going down), or the leaf. The host does about one
+/// comparison per level instead of two; the charge is still the textbook
+/// count: per level down to and including the settling level, 2 when the
+/// node has two children and 1 when it has only one. Sinking to the leaf
+/// costs nothing at the leaf level.
 void sift_down(std::span<Key> data, std::size_t root, std::size_t size,
                std::uint64_t& comparisons) {
-  while (true) {
-    const std::size_t left = 2 * root + 1;
-    if (left >= size) return;
-    std::size_t largest = left;
-    const std::size_t right = left + 1;
-    if (right < size) {
-      ++comparisons;
-      if (data[right] > data[left]) largest = right;
-    }
-    ++comparisons;
-    if (data[largest] <= data[root]) return;
-    std::swap(data[root], data[largest]);
-    root = largest;
+  Key* const a = data.data();
+  const Key x = a[root];
+  std::size_t hole = root;
+  std::size_t levels = 0;
+  std::size_t child = 2 * hole + 2;
+  for (; child < size; child = 2 * hole + 2) {
+    // Right child only when strictly greater, as the textbook picks it.
+    child -= a[child] > a[child - 1] ? 0 : 1;
+    a[hole] = a[child];
+    hole = child;
+    ++levels;
   }
+  // Only a left child: at most one node of the heap is like this.
+  const bool one_child = child == size;
+  if (one_child) {
+    a[hole] = a[size - 1];
+    hole = size - 1;
+    ++levels;
+  }
+  std::size_t climbed = 0;
+  while (hole != root) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (a[parent] > x) break;
+    a[hole] = a[parent];
+    hole = parent;
+    ++climbed;
+  }
+  a[hole] = x;
+  // Levels the textbook loop compares at: down to the settling level, or
+  // every level above the leaf when `x` sinks all the way.
+  const std::size_t charged = climbed == 0 ? levels : levels - climbed + 1;
+  comparisons += 2 * charged - (one_child && charged == levels ? 1 : 0);
 }
 
 }  // namespace

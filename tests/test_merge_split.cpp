@@ -273,7 +273,7 @@ TEST(ResolveProtocol, AutoEngagesOnlyUnderCutThrough) {
 // still a valid (if vacuous) run, so no skip.
 
 /// Restores the process-global kernel backend on scope exit so a failing
-/// ASSERT cannot leak a Simd default into unrelated tests.
+/// ASSERT cannot leak a non-default backend into unrelated tests.
 class KernelBackendGuard {
  public:
   KernelBackendGuard() : prev_(active_kernel_backend()) {}
@@ -388,6 +388,14 @@ TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
       }
     }
   }
+}
+
+// Every test that switches the backend restores it, so this sees what a
+// fresh process starts on: Simd exactly where this build and CPU have it.
+TEST(KernelBackends, FreshProcessDefaultsToSimdWhereAvailable) {
+  EXPECT_EQ(active_kernel_backend(), simd_kernels_available()
+                                         ? KernelBackend::Simd
+                                         : KernelBackend::Scalar);
 }
 
 TEST(KernelBackends, SimdRequestDegradesCleanlyWhenUnavailable) {

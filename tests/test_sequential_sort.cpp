@@ -54,6 +54,61 @@ TEST(Heapsort, NoComparisonsForTinyInputs) {
   EXPECT_EQ(comparisons, 0u);
 }
 
+// The textbook sift-down heapsort, kept here as the oracle for the
+// library's bottom-up one: same output, same charged comparison count.
+void textbook_sift_down(std::vector<Key>& data, std::size_t root,
+                        std::size_t size, std::uint64_t& comparisons) {
+  while (true) {
+    const std::size_t left = 2 * root + 1;
+    if (left >= size) return;
+    std::size_t largest = left;
+    const std::size_t right = left + 1;
+    if (right < size) {
+      ++comparisons;
+      if (data[right] > data[left]) largest = right;
+    }
+    ++comparisons;
+    if (data[largest] <= data[root]) return;
+    std::swap(data[root], data[largest]);
+    root = largest;
+  }
+}
+
+void textbook_heapsort(std::vector<Key>& data, std::uint64_t& comparisons) {
+  const std::size_t n = data.size();
+  if (n < 2) return;
+  for (std::size_t i = n / 2; i-- > 0;)
+    textbook_sift_down(data, i, n, comparisons);
+  for (std::size_t end = n; end-- > 1;) {
+    std::swap(data[0], data[end]);
+    textbook_sift_down(data, 0, end, comparisons);
+  }
+}
+
+TEST(Heapsort, MatchesTextbookOutputAndComparisonCount) {
+  util::Rng rng(4);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 600; ++n) sizes.push_back(n);
+  sizes.push_back(2048);  // recovery block size
+  sizes.push_back(4228);  // Fig. 7 block size (262,144 keys / 62 nodes)
+  for (const std::size_t n : sizes) {
+    const std::vector<std::vector<Key>> inputs = {
+        gen_uniform(n, rng),        gen_few_distinct(n, 3, rng),
+        std::vector<Key>(n, 42),    gen_sorted(n),
+        gen_reverse(n),             gen_organ_pipe(n)};
+    for (std::size_t family = 0; family < inputs.size(); ++family) {
+      auto expected = inputs[family];
+      std::uint64_t expected_count = 0;
+      textbook_heapsort(expected, expected_count);
+      auto keys = inputs[family];
+      std::uint64_t count = 0;
+      heapsort(keys, count);
+      ASSERT_EQ(keys, expected) << "n=" << n << " family=" << family;
+      ASSERT_EQ(count, expected_count) << "n=" << n << " family=" << family;
+    }
+  }
+}
+
 TEST(Mergesort, SortsAllPatterns) {
   util::Rng rng(21);
   for (auto keys : {gen_uniform(777, rng), gen_sorted(100),
