@@ -262,11 +262,9 @@ Diagnosis Machine::diagnose(Diagnosis::Kind kind) const {
   if (trace_.enabled()) {
     // Expired recv_or_timeout waits (and deaths of nodes already reset)
     // survive only in the flight recorder; merge this run's slice in.
-    std::vector<TraceEvent> events = trace_.snapshot();
-    std::erase_if(events, [this](const TraceEvent& ev) {
-      return ev.seq < trace_run_start_;
-    });
-    DiagnosisInput recorded = diagnosis_input_from_events(events);
+    // Only its Timeout and Kill events matter, so only those are copied.
+    DiagnosisInput recorded = diagnosis_input_from_events(trace_.snapshot(
+        trace_run_start_, {EventKind::Timeout, EventKind::Kill}));
     in.waits.insert(in.waits.end(), recorded.waits.begin(),
                     recorded.waits.end());
     in.kills.insert(in.kills.end(), recorded.kills.begin(),

@@ -74,14 +74,34 @@ std::uint64_t Trace::dropped() const {
   return total;
 }
 
+namespace {
+void sort_by_seq(std::vector<TraceEvent>& events) {
+  std::sort(events.begin(), events.end(),
+            [](const TraceEvent& a, const TraceEvent& b) { return a.seq < b.seq; });
+}
+}  // namespace
+
 std::vector<TraceEvent> Trace::snapshot() const {
   std::vector<TraceEvent> events;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> guard(shard->mutex);
     events.insert(events.end(), shard->ring.begin(), shard->ring.end());
   }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) { return a.seq < b.seq; });
+  sort_by_seq(events);
+  return events;
+}
+
+std::vector<TraceEvent> Trace::snapshot(
+    std::uint64_t since, std::initializer_list<EventKind> kinds) const {
+  std::vector<TraceEvent> events;
+  for (const auto& shard : shards_) {
+    const std::lock_guard<std::mutex> guard(shard->mutex);
+    for (const TraceEvent& ev : shard->ring)
+      if (ev.seq >= since &&
+          std::find(kinds.begin(), kinds.end(), ev.kind) != kinds.end())
+        events.push_back(ev);
+  }
+  sort_by_seq(events);
   return events;
 }
 

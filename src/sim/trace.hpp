@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -107,6 +108,11 @@ class Trace {
   /// global record order (ascending seq), safe against concurrent
   /// record().
   std::vector<TraceEvent> snapshot() const;
+
+  /// As snapshot(), restricted to events with `seq >= since` whose kind is
+  /// one of `kinds`. Only the matching events are copied and sorted.
+  std::vector<TraceEvent> snapshot(std::uint64_t since,
+                                   std::initializer_list<EventKind> kinds) const;
 
   /// format_trace(snapshot(), max_lines).
   std::string to_string(std::size_t max_lines = 200) const;

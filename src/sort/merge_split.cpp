@@ -163,6 +163,15 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
   }
 }
 
+void resort_halves_into_scalar(std::vector<Key>& kept, std::vector<Key>& back,
+                               std::vector<Key>& out,
+                               std::vector<Key>& scratch,
+                               std::uint64_t& comparisons) {
+  sort_unimodal(kept, scratch, comparisons);
+  sort_unimodal(back, scratch, comparisons);
+  merge_sorted_into(kept, back, out, comparisons);
+}
+
 }  // namespace detail
 
 void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
@@ -212,6 +221,20 @@ void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
 #endif
   detail::pairwise_select_rev_into_scalar(a, b, keep, kept, returned,
                                           comparisons);
+}
+
+void resort_halves_into(std::vector<Key>& kept, std::vector<Key>& back,
+                        SplitHalf keep, std::vector<Key>& out,
+                        std::vector<Key>& scratch,
+                        std::uint64_t& comparisons) {
+#if FTSORT_SIMD_KERNELS
+  if (active_kernel_backend() == KernelBackend::Simd) {
+    detail::resort_halves_into_simd(kept, back, keep, out, comparisons);
+    return;
+  }
+#endif
+  (void)keep;  // sort_unimodal finds each half's shape itself
+  detail::resort_halves_into_scalar(kept, back, out, scratch, comparisons);
 }
 
 PairwiseSplit pairwise_select(std::span<const Key> a, std::span<const Key> b,

@@ -133,4 +133,22 @@ void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
                               std::vector<Key>& returned,
                               std::uint64_t& comparisons);
 
+/// Local finish of the half exchange: the block's new contents, ascending,
+/// from the pairwise winners `kept` here and the half `back` the partner
+/// returned. With `keep == Lower`, `back ++ kept` is the sequence
+/// min(A[k], B[b-1-k]) over the whole block, which rises then falls; with
+/// `Upper`, `kept ++ back` is max(A[k], B[b-1-k]), which falls then rises.
+/// Both backends charge the comparisons of the paper's local finish:
+/// `sort_unimodal(kept)`, `sort_unimodal(back)`, then
+/// `merge_sorted_into(kept, back)`. The Scalar backend runs exactly those
+/// calls, sorting `kept` and `back` in place through `scratch`; the Simd
+/// backend merges the sequence's two monotone runs straight into `out`,
+/// leaves `kept`, `back` and `scratch` untouched, and derives the count
+/// (DESIGN §6). Inputs of any other shape are a precondition violation
+/// the backends may answer differently. `out` must not alias the inputs.
+void resort_halves_into(std::vector<Key>& kept, std::vector<Key>& back,
+                        SplitHalf keep, std::vector<Key>& out,
+                        std::vector<Key>& scratch,
+                        std::uint64_t& comparisons);
+
 }  // namespace ftsort::sort

@@ -31,6 +31,10 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
                                      std::vector<Key>& kept,
                                      std::vector<Key>& returned,
                                      std::uint64_t& comparisons);
+void resort_halves_into_scalar(std::vector<Key>& kept, std::vector<Key>& back,
+                               std::vector<Key>& out,
+                               std::vector<Key>& scratch,
+                               std::uint64_t& comparisons);
 
 #if FTSORT_SIMD_KERNELS
 void merge_split_into_simd(std::span<const Key> mine,
@@ -45,6 +49,10 @@ void pairwise_select_rev_into_simd(std::span<const Key> a,
                                    std::vector<Key>& kept,
                                    std::vector<Key>& returned,
                                    std::uint64_t& comparisons);
+void resort_halves_into_simd(std::span<const Key> kept,
+                             std::span<const Key> back, SplitHalf keep,
+                             std::vector<Key>& out,
+                             std::uint64_t& comparisons);
 #endif
 
 }  // namespace ftsort::sort::detail

@@ -55,11 +55,10 @@ sim::Task<void> half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
     // Receive the winners (mins) of the partner's pairs.
     sim::Message back = co_await ctx.recv(partner, tag + 1);
     FTSORT_REQUIRE(back.payload.size() == h);
-    // Both parts are unimodal; sort each, then merge.
-    sort_unimodal(scratch.kept, scratch.unimodal, comparisons);
-    sort_unimodal(back.payload.vec(), scratch.unimodal, comparisons);
-    merge_sorted_into(scratch.kept, back.payload.span(), scratch.merged,
-                      comparisons);
+    // back ++ kept is min(A[k], B[b-1-k]) over the block: it rises, then
+    // falls, and sorting it yields the b smallest keys.
+    resort_halves_into(scratch.kept, back.payload.vec(), SplitHalf::Lower,
+                       scratch.merged, scratch.unimodal, comparisons);
     ctx.charge_compares(comparisons);
     FTSORT_ENSURE(scratch.merged.size() == b);
     std::swap(block, scratch.merged);
@@ -84,10 +83,9 @@ sim::Task<void> half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
   // My final multiset: the kept/returned sets already contain every key
   // exactly once — kept (h maxes) + back.payload (b-h maxes from the
   // partner's pairs); the top of my block served only as comparison input.
-  sort_unimodal(scratch.kept, scratch.unimodal, comparisons);
-  sort_unimodal(back.payload.vec(), scratch.unimodal, comparisons);
-  merge_sorted_into(scratch.kept, back.payload.span(), scratch.merged,
-                    comparisons);
+  // kept ++ back is max(A[k], B[b-1-k]): it falls, then rises.
+  resort_halves_into(scratch.kept, back.payload.vec(), SplitHalf::Upper,
+                     scratch.merged, scratch.unimodal, comparisons);
   ctx.charge_compares(comparisons);
   FTSORT_ENSURE(scratch.merged.size() == b);
   std::swap(block, scratch.merged);

@@ -50,7 +50,7 @@ struct ExchangeScratch {
   std::vector<Key> merged;    ///< merge destination, swapped into the block
   std::vector<Key> kept;      ///< pairwise winners (half exchange)
   std::vector<Key> returned;  ///< pairwise losers sent back (half exchange)
-  std::vector<Key> unimodal;  ///< sort_unimodal merge scratch
+  std::vector<Key> unimodal;  ///< scalar resort_halves_into scratch
 };
 
 /// One comparison-exchange with `partner_phys`, in place: after completion

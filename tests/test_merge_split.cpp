@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "sim/cost_model.hpp"
 #include "sort/distribution.hpp"
@@ -385,6 +387,104 @@ TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
         ASSERT_EQ(kept, kept_ref) << "rev n=" << n;
         ASSERT_EQ(ret, ret_ref) << "rev n=" << n;
         ASSERT_EQ(c_out, c_ref) << "rev n=" << n;
+      }
+    }
+  }
+}
+
+/// The halves a half exchange hands resort_halves_into, cut from real
+/// pairwise-select output of ascending blocks `a` and `b`: the Lower side
+/// gets the pairwise mins with `back` first, the Upper side the maxes with
+/// `kept` first. `kept` holds `nk` keys, `back` the rest.
+void cut_halves(const std::vector<Key>& a, const std::vector<Key>& b,
+                std::size_t nk, SplitHalf keep, std::vector<Key>& kept,
+                std::vector<Key>& back) {
+  std::uint64_t ignored = 0;
+  std::vector<Key> mins;
+  std::vector<Key> maxes;
+  pairwise_select_rev_into(a, b, SplitHalf::Lower, mins, maxes, ignored);
+  const std::vector<Key>& s = keep == SplitHalf::Lower ? mins : maxes;
+  const auto cut = static_cast<std::ptrdiff_t>(
+      keep == SplitHalf::Lower ? s.size() - nk : nk);
+  const std::vector<Key> head(s.begin(), s.begin() + cut);
+  const std::vector<Key> tail(s.begin() + cut, s.end());
+  kept = keep == SplitHalf::Lower ? tail : head;
+  back = keep == SplitHalf::Lower ? head : tail;
+}
+
+/// Runs both backends on copies of the same halves; returns an empty
+/// string when they agree on the bytes and the comparison count, and the
+/// Simd backend left its inputs and the scratch alone.
+std::string resort_mismatch(const std::vector<Key>& kept,
+                            const std::vector<Key>& back, SplitHalf keep) {
+  std::vector<Key> scratch;
+  std::vector<Key> ref;
+  std::vector<Key> out;
+  std::uint64_t c_ref = 0;
+  std::uint64_t c_out = 0;
+  std::vector<Key> k = kept;
+  std::vector<Key> bk = back;
+  set_kernel_backend(KernelBackend::Scalar);
+  resort_halves_into(k, bk, keep, ref, scratch, c_ref);
+  k = kept;
+  bk = back;
+  scratch.clear();
+  const bool simd =
+      set_kernel_backend(KernelBackend::Simd) == KernelBackend::Simd;
+  resort_halves_into(k, bk, keep, out, scratch, c_out);
+  if (simd && (k != kept || bk != back || !scratch.empty()))
+    return "Simd backend wrote to its inputs";
+  if (out != ref) return "output differs";
+  if (c_out != c_ref)
+    return "count " + std::to_string(c_out) + " != " + std::to_string(c_ref);
+  return {};
+}
+
+// Value families of the two blocks: uniform, 3-distinct, all-equal,
+// disjoint ranges both ways, dummy-padded tails, and mixes of them.
+constexpr std::pair<int, int> kResortFamilies[] = {
+    {0, 0}, {1, 1}, {2, 2}, {4, 5}, {5, 4},
+    {6, 6}, {0, 6}, {6, 1}, {1, 2}, {2, 0}};
+
+TEST(KernelBackends, ResortHalvesScalarAndSimdMatchOnEverySmallSplit) {
+  KernelBackendGuard guard;
+  util::Rng rng(79);
+  std::vector<Key> kept;
+  std::vector<Key> back;
+  for (std::size_t nk = 0; nk <= 70; ++nk) {
+    for (std::size_t nb = 0; nb <= 70; ++nb) {
+      for (const auto& [fa, fb] : kResortFamilies) {
+        const auto a = sorted_family(fa, nk + nb, rng);
+        const auto b = sorted_family(fb, nk + nb, rng);
+        for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
+          cut_halves(a, b, nk, keep, kept, back);
+          const std::string why = resort_mismatch(kept, back, keep);
+          ASSERT_TRUE(why.empty())
+              << why << ": nk=" << nk << " nb=" << nb << " fa=" << fa
+              << " fb=" << fb
+              << (keep == SplitHalf::Lower ? " Lower" : " Upper");
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackends, ResortHalvesScalarAndSimdMatchOnFigure7Blocks) {
+  KernelBackendGuard guard;
+  util::Rng rng(80);
+  std::vector<Key> kept;
+  std::vector<Key> back;
+  constexpr std::size_t kBlock = 4229;  // Q_6, 62 live nodes, 262,144 keys
+  for (int trial = 0; trial < 3; ++trial) {
+    for (const auto& [fa, fb] : kResortFamilies) {
+      const auto a = sorted_family(fa, kBlock, rng);
+      const auto b = sorted_family(fb, kBlock, rng);
+      for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
+        const std::size_t h = kBlock / 2;
+        cut_halves(a, b, keep == SplitHalf::Lower ? kBlock - h : h, keep,
+                   kept, back);
+        const std::string why = resort_mismatch(kept, back, keep);
+        ASSERT_TRUE(why.empty()) << why << ": fa=" << fa << " fb=" << fb;
       }
     }
   }
