@@ -11,12 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "baseline/mfs_sorter.hpp"
 #include "core/ft_sorter.hpp"
 #include "core/outcome.hpp"
 #include "fault/scenario.hpp"
@@ -24,6 +28,7 @@
 #include "sim/lineage.hpp"
 #include "sim/link_stats.hpp"
 #include "sort/distribution.hpp"
+#include "sort/single_fault.hpp"
 #include "tools/ftdiag.hpp"
 #include "util/rng.hpp"
 
@@ -316,6 +321,290 @@ TEST(LineageDigest, GridSnapshotsMatchPinnedDigest) {
   std::ostringstream hex;
   hex << std::hex << digest.h;
   EXPECT_EQ(hex.str(), "71dd6b26e5555849") << runs << " runs, " << degraded << " degraded";
+}
+
+// ---------------------------------------------------------------------------
+// Pinned digest over every observable output of the sort drivers: the
+// sorted keys, every deterministic RunReport field, every trace event, the
+// metrics, links, timeline and lineage snapshots, the phase breakdown, and
+// the text of each DegradationError. The grid is LineageDigest's, plus the
+// single-fault subcube sort, the MFS baseline, forced coalescing under
+// cut-through routing and a dead-link plan. A refactor of the plain or the
+// recovery driver must leave it untouched.
+
+void fold_double(Fnv& f, double v) { f.add(std::bit_cast<std::uint64_t>(v)); }
+
+void fold_text(Fnv& f, const std::string& s) {
+  f.add(s.size());
+  for (const char c : s) f.add(static_cast<unsigned char>(c));
+}
+
+void fold_counters(Fnv& f, const sim::PhaseCounters& c) {
+  for (const std::uint64_t v :
+       {c.messages, c.keys_sent, c.key_hops, c.comparisons, c.recvs,
+        c.keys_received, c.messages_dropped, c.timeouts, c.pool_checkouts})
+    f.add(v);
+  fold_double(f, c.send_busy);
+  fold_double(f, c.compute_time);
+  fold_double(f, c.recv_wait);
+  for (const std::uint32_t b : c.msg_size_hist) f.add(b);
+}
+
+void fold_link_cell(Fnv& f, const sim::LinkCell& c) {
+  f.add(c.traversals);
+  f.add(c.key_hops);
+  for (const std::uint64_t v : c.phase_traversals) f.add(v);
+  for (const std::uint64_t v : c.phase_key_hops) f.add(v);
+}
+
+template <class Row>
+void fold_rows(Fnv& f, const std::vector<Row>& rows) {
+  f.add(rows.size());
+  for (const Row& row : rows) {
+    f.add(row.size());
+    for (const auto v : row) f.add(static_cast<std::uint64_t>(v));
+  }
+}
+
+/// Trace events in a canonical order: the threaded executor's global
+/// record order varies run to run, the multiset of events does not.
+std::vector<sim::TraceEvent> canonical(std::vector<sim::TraceEvent> evs) {
+  const auto key = [](const sim::TraceEvent& e) {
+    return std::tuple(e.node, e.time, e.kind, e.peer, e.tag, e.keys, e.hops,
+                      e.phase);
+  };
+  std::sort(evs.begin(), evs.end(),
+            [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  return evs;
+}
+
+/// Folds one run. `sequential` also folds what only the sequential
+/// executor fixes: the trace's record order and the pool ledgers.
+void fold_report(Fnv& f, const sim::RunReport& r,
+                 const std::vector<sim::TraceEvent>& trace, bool sequential) {
+  fold_double(f, r.cost.t_compare);
+  fold_double(f, r.cost.t_transfer);
+  fold_double(f, r.cost.t_startup);
+  fold_text(f, r.cost.mode_name());
+  fold_double(f, r.makespan);
+  for (const std::uint64_t v : {r.messages, r.keys_sent, r.key_hops,
+                                r.comparisons, r.messages_dropped,
+                                r.timeouts, r.trace_dropped})
+    f.add(v);
+  f.add(r.node_clocks.size());
+  for (const double c : r.node_clocks) fold_double(f, c);
+  f.add(r.killed_nodes.size());
+  for (const cube::NodeId u : r.killed_nodes) f.add(u);
+  // Heap allocations depend on the merge kernels' buffer capacities, so
+  // only the pool's traffic is folded.
+  if (sequential)
+    for (const sim::PoolStats& p : {r.pool, r.pool_delta}) {
+      f.add(p.checkouts);
+      f.add(p.returns);
+    }
+
+  f.add(r.metrics.nodes.size());
+  for (const sim::NodePhaseCounters& row : r.metrics.nodes)
+    for (const sim::PhaseCounters& c : row) fold_counters(f, c);
+  f.add_signed(r.links.dim);
+  f.add(r.links.num_nodes);
+  f.add(r.links.cells.size());
+  for (const sim::LinkCell& c : r.links.cells) fold_link_cell(f, c);
+  fold_rows(f, r.links.reindex_extra);
+  fold_rows(f, r.links.reindex_fault_extra);
+  const sim::ReindexAudit& a = r.reindex_audit;
+  f.add(a.enabled);
+  f.add(a.candidates.size());
+  for (const auto& c : a.candidates) {
+    fold_rows(f, std::vector<std::vector<cube::Dim>>{c.cuts});
+    fold_rows(f, std::vector<std::vector<int>>{c.predicted_h});
+    f.add_signed(c.predicted_total);
+    f.add(c.chosen);
+  }
+  fold_rows(f, std::vector<std::vector<int>>{a.measured_h, a.measured_all_h});
+  f.add_signed(a.measured_total);
+  f.add_signed(a.measured_all_total);
+  f.add(r.phases.slices.size());
+  for (const sim::PhaseBreakdown::Slice& s : r.phases.slices) {
+    f.add(static_cast<std::uint64_t>(s.phase));
+    fold_counters(f, s.counters);
+    fold_double(f, s.critical_time);
+    fold_double(f, s.critical_comm);
+    fold_double(f, s.critical_compute);
+  }
+  f.add(r.phases.has_critical_path);
+  fold_double(f, r.phases.critical_total);
+  fold_text(f, r.diagnosis.to_string());
+  f.add(r.diagnosis.waits.size());
+  for (const sim::Diagnosis::Wait& w : r.diagnosis.waits) {
+    f.add(w.node);
+    f.add(w.src);
+    f.add(w.tag);
+    fold_double(f, w.time);
+    f.add(static_cast<std::uint64_t>(w.phase));
+    f.add(w.expired);
+  }
+  const sim::RecoveryLatency& rl = r.recovery_latency;
+  f.add(rl.enabled);
+  f.add(rl.episodes.size());
+  for (const sim::RecoveryEpisode& ep : rl.episodes) {
+    f.add(ep.attempt);
+    f.add(ep.dead.size());
+    for (const cube::NodeId d : ep.dead) f.add(d);
+    for (const double t : {ep.inject, ep.detect_first, ep.detect_confirm,
+                           ep.rollcall_end, ep.salvage_end, ep.restart_end})
+      fold_double(f, t);
+  }
+  const sim::TimelineSnapshot& t = r.timeline;
+  f.add(t.enabled);
+  fold_double(f, t.tick);
+  f.add(t.num_nodes);
+  f.add_signed(t.dim);
+  f.add(t.ticks);
+  f.add(t.dropped);
+  fold_rows(f, t.queue_depth);
+  fold_rows(f, t.pool_in_use);
+  fold_rows(f, t.keys_in_flight);
+  fold_rows(f, t.phase);
+  digest_snapshot(f, r.lineage);
+  f.add(r.host.enabled);
+  f.add(r.watchdog.enabled);
+
+  f.add(trace.size());
+  for (const sim::TraceEvent& e : sequential ? trace : canonical(trace)) {
+    fold_double(f, e.time);
+    f.add(e.node);
+    f.add(static_cast<std::uint64_t>(e.kind));
+    f.add(e.peer);
+    f.add(e.tag);
+    f.add(e.keys);
+    f.add_signed(e.hops);
+    f.add(static_cast<std::uint64_t>(e.phase));
+  }
+}
+
+void fold_keys(Fnv& f, const std::vector<sort::Key>& keys) {
+  f.add(keys.size());
+  for (const sort::Key k : keys) f.add_signed(k);
+}
+
+TEST(DriverDigest, GridRunsMatchPinnedDigest) {
+  Fnv digest;
+  std::size_t runs = 0;
+  std::size_t degraded = 0;
+  const auto run_both = [&](const std::function<core::SortOutcome(
+                                core::SortConfig)>& sort,
+                            core::SortConfig cfg) {
+    cfg.record_trace = true;
+    cfg.record_metrics = true;
+    cfg.record_link_stats = true;
+    cfg.record_timeline = true;
+    cfg.timeline_tick = 250.0;
+    cfg.record_lineage = true;
+    for (const core::Executor exec :
+         {core::Executor::Sequential, core::Executor::Threaded}) {
+      cfg.executor = exec;
+      ++runs;
+      try {
+        const core::SortOutcome out = sort(cfg);
+        fold_keys(digest, out.sorted);
+        digest.add(out.block_size);
+        fold_report(digest, out.report, out.trace_events,
+                    exec == core::Executor::Sequential);
+      } catch (const core::DegradationError& e) {
+        ++degraded;
+        fold_text(digest, e.what());
+      }
+    }
+  };
+
+  std::uint64_t seed = 9100;
+  for (cube::Dim n = 3; n <= 6; ++n)
+    for (int shape = 0; shape < 3; ++shape)
+      for (const std::size_t count : {std::size_t{97}, std::size_t{1000}}) {
+        const auto keys = grid_input(shape, count, ++seed);
+        util::Rng frng(seed * 31);
+        const fault::FaultSet f1 = fault::random_faults(n, 1, frng);
+        const fault::FaultSet f2 = fault::random_faults(n, 2, frng);
+        const auto sorter = [&](const fault::FaultSet& faults) {
+          return [&, faults](core::SortConfig cfg) {
+            return core::FaultTolerantSorter(n, faults, cfg).sort(keys);
+          };
+        };
+
+        // Plain runs.
+        core::SortConfig plain;
+        plain.protocol = sort::ExchangeProtocol::FullExchange;
+        run_both(sorter(fault::FaultSet(n)), plain);
+        plain.protocol = sort::ExchangeProtocol::HalfExchange;
+        plain.charge_host_io = true;
+        run_both(sorter(f1), plain);
+        plain.protocol = sort::ExchangeProtocol::FullExchange;
+        plain.charge_host_io = false;
+        plain.step8 = core::Step8Mode::FullSort;
+        run_both(sorter(f2), plain);
+
+        // Forced coalescing under cut-through routing.
+        core::SortConfig coalesced;
+        coalesced.cost = sim::CostModel::wormhole();
+        coalesced.coalesce = sort::CoalescePolicy::On;
+        run_both(sorter(f2), coalesced);
+
+        // A dead link between two healthy nodes, reduced to a logical
+        // processor fault by the plan.
+        cube::NodeId lo = 0;
+        while (cube::bit(lo, 1) != 0 || f1.is_faulty(lo) ||
+               f1.is_faulty(lo | 2u))
+          ++lo;
+        const cube::LinkSet dead(n, {cube::Link{lo, 1}});
+        run_both(
+            [&](core::SortConfig cfg) {
+              return core::FaultTolerantSorter(n, f1, dead, cfg).sort(keys);
+            },
+            core::SortConfig{});
+
+        // Recovery runs, patience tiers scaled to the fault-free makespan.
+        core::SortConfig rec;
+        rec.online_recovery = true;
+        const sim::SimTime t0 =
+            core::FaultTolerantSorter(n, fault::FaultSet(n), rec)
+                .sort(keys)
+                .report.makespan;
+        rec.recovery.detect_patience = 1.0 * t0;
+        rec.recovery.collect_patience = 2.5 * t0;
+        rec.recovery.verdict_patience = 50.0 * t0;
+        run_both(sorter(f1), rec);
+        const cube::NodeId last = cube::num_nodes(n) - 1;
+        rec.injector.kill_node_at(last, 0.4 * t0);
+        run_both(sorter(fault::FaultSet(n)), rec);
+        rec.injector.kill_node_at(cube::num_nodes(n) / 2 + 1, 0.7 * t0);
+        run_both(sorter(fault::FaultSet(n)), rec);
+
+        // The single-fault subcube sort and the MFS baseline (sequential
+        // executor only, no instruments).
+        for (const auto protocol : {sort::ExchangeProtocol::HalfExchange,
+                                    sort::ExchangeProtocol::FullExchange}) {
+          const sort::SingleFaultSortResult sf = sort::single_fault_bitonic_sort(
+              n, f1, keys, fault::FaultModel::Partial,
+              sim::CostModel::ncube7(), protocol);
+          fold_keys(digest, sf.sorted);
+          digest.add(sf.block_size);
+          fold_report(digest, sf.report, {}, true);
+          const baseline::MfsSortResult mfs = baseline::mfs_bitonic_sort(
+              n, f2, keys, fault::FaultModel::Partial,
+              sim::CostModel::ncube7(), protocol);
+          fold_keys(digest, mfs.sorted);
+          digest.add(mfs.block_size);
+          fold_report(digest, mfs.report, {}, true);
+          runs += 2;
+        }
+      }
+  EXPECT_EQ(runs, 480u);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_LT(degraded, runs / 4);
+  std::ostringstream hex;
+  hex << std::hex << digest.h;
+  EXPECT_EQ(hex.str(), "f2a163800600ed2e") << runs << " runs, " << degraded << " degraded";
 }
 
 // ---------------------------------------------------------------------------
