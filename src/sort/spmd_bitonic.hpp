@@ -11,7 +11,9 @@
 // The comparison-exchange at each (stage, substep) is a merge-split carried
 // out by either the full-exchange or the paper's half-exchange protocol
 // (see merge_split.hpp). A live node whose partner is dead performs no
-// exchange — the rule that makes the sort single-fault tolerant.
+// exchange — the rule that makes the sort single-fault tolerant. The sort
+// and the merge below emit their exchanges as a one-round schedule and
+// run it with the plain interpreter (both live in sort/schedule.cpp).
 #pragma once
 
 #include <vector>
