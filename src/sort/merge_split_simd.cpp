@@ -14,6 +14,9 @@
 // side's still-unloaded head, so the emitted low four can never overtake an
 // unloaded key. The tail (fewer than four keys left anywhere) finishes with
 // a three-way scalar merge over {carry, rest of mine, rest of theirs}.
+// A merge-split runs that merge forward over exactly the kept keys: a
+// merge-path search cuts them out of both inputs (for Upper it skips the
+// smallest), and large merges step two lanes split at the middle.
 //
 // Byte-identity with the scalar oracle needs no tie-breaking care: keys are
 // plain values, so "the `want` smallest keys of the union, ascending" is a
@@ -21,8 +24,9 @@
 // counts ARE tie-sensitive, but they are a pure function of the inputs:
 // the scalar loop counts one comparison per output until the first input
 // run exhausts, and the exhaustion point is a rank — computable with one
-// binary search (see exhaust-rank helpers below), not by replaying the
-// loop. tests/test_merge_split.cpp pins both properties exhaustively.
+// binary search (merge_split_comparisons in merge_split.cpp), not by
+// replaying the loop. tests/test_merge_split.cpp pins both properties
+// exhaustively.
 //
 // The half exchange's local finish (resort_halves_into_simd, at the end)
 // reuses that merge on the two monotone runs of one bitonic sequence,
@@ -95,45 +99,6 @@ inline void bitonic_merge8(v4k& va, v4k& vb) {
   h = __builtin_shufflevector(mn, mx, 0, 5, 2, 7);
   va = l;
   vb = h;
-}
-
-/// Comparisons the scalar Lower loop performs: one per output until the
-/// first run exhausts. `theirs` exhausts at output rank (#mine ≤
-/// theirs.back()) + |theirs| (ties consume mine first); `mine` at rank
-/// |mine| + (#theirs < mine.back()).
-std::uint64_t lower_comparisons(std::span<const Key> mine,
-                                std::span<const Key> theirs,
-                                std::size_t want) {
-  if (mine.empty() || theirs.empty()) return 0;
-  const std::size_t tb =
-      static_cast<std::size_t>(
-          std::upper_bound(mine.begin(), mine.end(), theirs.back()) -
-          mine.begin()) +
-      theirs.size();
-  const std::size_t ta =
-      mine.size() + static_cast<std::size_t>(std::lower_bound(
-                        theirs.begin(), theirs.end(), mine.back()) -
-                    theirs.begin());
-  return std::min({want, ta, tb});
-}
-
-/// Mirror of lower_comparisons for the backward (Upper) loop, which
-/// consumes from the top and takes mine on ties.
-std::uint64_t upper_comparisons(std::span<const Key> mine,
-                                std::span<const Key> theirs,
-                                std::size_t want) {
-  if (mine.empty() || theirs.empty()) return 0;
-  const std::size_t tb =
-      (mine.size() - static_cast<std::size_t>(std::lower_bound(
-                         mine.begin(), mine.end(), theirs.front()) -
-                     mine.begin())) +
-      theirs.size();
-  const std::size_t ta =
-      mine.size() + (theirs.size() -
-                     static_cast<std::size_t>(std::upper_bound(
-                         theirs.begin(), theirs.end(), mine.front()) -
-                     theirs.begin()));
-  return std::min({want, ta, tb});
 }
 
 /// One forward merge: the `want` smallest keys of ascending `a` and `b`,
@@ -266,11 +231,6 @@ void merge_finish(MergeLane<kRevB> m) {
   }
 }
 
-void merge_lower(const Key* a, std::size_t na, const Key* b, std::size_t nb,
-                 Key* dst, std::size_t want) {
-  merge_finish(MergeLane<false>(a, na, b, nb, dst, want));
-}
-
 /// How many of the `m` smallest keys of a ∪ b to take from `a` (the merge
 /// path): merging the two prefixes and the two rests apart yields the
 /// merge. `b` reads as in MergeLane.
@@ -289,11 +249,21 @@ std::size_t co_rank(const Key* a, std::size_t na, const Key* b,
   return lo;
 }
 
-/// The whole merge of `a` and `b` (read as in MergeLane) into `dst`, as two
-/// lanes split at the middle of the output and stepped in turn.
+/// Below this many keys out, one lane beats two: the middle split's
+/// search and the second lane's head and tail cost more than the
+/// interleaving saves. The crossover is measured in DESIGN §6.
+constexpr std::size_t kTwoLaneMin = 64;
+
+/// The whole merge of `a` and `b` (read as in MergeLane) into `dst`. From
+/// kTwoLaneMin keys on it runs as two lanes, split at the middle of the
+/// output and stepped in turn.
 template <bool kRevB>
 void merge_all(const Key* a, std::size_t na, const Key* b, std::size_t nb,
                Key* dst) {
+  if (na + nb < kTwoLaneMin) {
+    merge_finish(MergeLane<kRevB>(a, na, b, nb, dst, na + nb));
+    return;
+  }
   const std::size_t m = (na + nb) / 2;
   const std::size_t i = co_rank<kRevB>(a, na, b, nb, m);
   const std::size_t j = m - i;
@@ -308,77 +278,6 @@ void merge_all(const Key* a, std::size_t na, const Key* b, std::size_t nb,
   }
   merge_finish(lo);
   merge_finish(hi);
-}
-
-void merge_upper(const Key* a, std::size_t na, const Key* b, std::size_t nb,
-                 Key* dst, std::size_t want) {
-  std::size_t i = na;
-  std::size_t j = nb;
-  std::size_t k = want;
-  Key carry[8];
-  std::size_t nc = 0;
-  if (na >= 4 && nb >= 4 && want >= 4) {
-    v4k va;
-    v4k vb;
-    std::memcpy(&va, a + na - 4, 32);
-    i = na - 4;
-    std::memcpy(&vb, b + nb - 4, 32);
-    j = nb - 4;
-    for (;;) {
-      bitonic_merge8(va, vb);
-      if (k < 4) {
-        std::memcpy(carry, &va, 32);
-        std::memcpy(carry + 4, &vb, 32);
-        nc = 8;
-        break;
-      }
-      std::memcpy(dst + k - 4, &vb, 32);
-      k -= 4;
-      const bool take_a = (j == 0) || (i > 0 && a[i - 1] >= b[j - 1]);
-      if (take_a) {
-        if (i < 4) {
-          std::memcpy(carry, &va, 32);
-          nc = 4;
-          break;
-        }
-        std::memcpy(&vb, a + i - 4, 32);
-        i -= 4;
-      } else {
-        if (j < 4) {
-          std::memcpy(carry, &va, 32);
-          nc = 4;
-          break;
-        }
-        std::memcpy(&vb, b + j - 4, 32);
-        j -= 4;
-      }
-    }
-  }
-  std::size_t c = nc;  // carry ascending; consume from its top
-  while (k > 0) {
-    Key best = 0;
-    int src = -1;
-    if (c > 0) {
-      best = carry[c - 1];
-      src = 0;
-    }
-    if (i > 0 && (src < 0 || a[i - 1] > best)) {
-      best = a[i - 1];
-      src = 1;
-    }
-    if (j > 0 && (src < 0 || b[j - 1] > best)) {
-      best = b[j - 1];
-      src = 2;
-    }
-    FTSORT_INVARIANT(src >= 0);
-    if (src == 0)
-      --c;
-    else if (src == 1)
-      --i;
-    else
-      --j;
-    dst[--k] = best;
-  }
 }
 
 /// When the two blocks' key ranges do not overlap, the union ascending is
@@ -637,18 +536,18 @@ void merge_split_into_simd(std::span<const Key> mine,
   const std::size_t want = mine.size();
   out.resize(want);
   if (want == 0) return;
-  const bool copied = copy_if_disjoint(mine, theirs, keep, out.data());
-  if (keep == SplitHalf::Lower) {
-    if (!copied)
-      merge_lower(mine.data(), mine.size(), theirs.data(), theirs.size(),
-                  out.data(), want);
-    comparisons += lower_comparisons(mine, theirs, want);
-  } else {
-    if (!copied)
-      merge_upper(mine.data(), mine.size(), theirs.data(), theirs.size(),
-                  out.data(), want);
-    comparisons += upper_comparisons(mine, theirs, want);
-  }
+  comparisons += merge_split_comparisons(mine, theirs, keep);
+  if (copy_if_disjoint(mine, theirs, keep, out.data())) return;
+  // The kept half is all of each input but the partner's leftovers: a
+  // prefix of each for Lower, a suffix of each for Upper (which thus skips
+  // the smallest keys by one merge-path search). One forward merge.
+  const SplitRuns left = merge_split_leftovers(mine, theirs, keep);
+  const std::size_t na = mine.size() - left.mine.size();
+  const std::size_t nb = theirs.size() - left.theirs.size();
+  const bool lower = keep == SplitHalf::Lower;
+  merge_all<false>(lower ? mine.data() : mine.data() + left.mine.size(), na,
+                   lower ? theirs.data() : theirs.data() + left.theirs.size(),
+                   nb, out.data());
 }
 
 void pairwise_select_into_simd(std::span<const Key> a, std::span<const Key> b,

@@ -321,15 +321,20 @@ std::vector<Key> sorted_family(int family, std::size_t n, util::Rng& rng) {
   return v;
 }
 
+/// Block sizes of the merge-split sweeps: the SIMD kernel's short tails,
+/// both sides of its two-lane threshold (64 keys out), and a 2,048-key
+/// block.
+constexpr std::size_t kSweepSizes[] = {0,  1,  2,  3,  4,  5,   7,   8,
+                                       9,  12, 15, 16, 17, 31,  33,  63,
+                                       64, 65, 100, 300, 2048};
+
 TEST(KernelBackends, MergeSplitScalarAndSimdMatchBitForBit) {
   KernelBackendGuard guard;
   util::Rng rng(77);
   std::vector<Key> ref;
   std::vector<Key> out;
-  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
-                               12, 15, 16, 17, 31, 33, 100};
-  for (const std::size_t na : sizes) {
-    for (const std::size_t nb : sizes) {
+  for (const std::size_t na : kSweepSizes) {
+    for (const std::size_t nb : kSweepSizes) {
       for (int fa = 0; fa < 7; ++fa) {
         for (int fb = 0; fb < 7; ++fb) {
           const auto a = sorted_family(fa, na, rng);
@@ -345,6 +350,74 @@ TEST(KernelBackends, MergeSplitScalarAndSimdMatchBitForBit) {
                                 << " fa=" << fa << " fb=" << fb;
             ASSERT_EQ(c_out, c_ref) << "na=" << na << " nb=" << nb
                                     << " fa=" << fa << " fb=" << fb;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// How many of the `m` smallest keys of `a` ∪ `b` a scalar merge that
+/// takes `b`'s key first on ties draws from `a`.
+std::size_t replayed_merge_path(const std::vector<Key>& a,
+                                const std::vector<Key>& b, std::size_t m) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i + j < m) {
+    if (j < b.size() && (i == a.size() || b[j] <= a[i]))
+      ++j;
+    else
+      ++i;
+  }
+  return i;
+}
+
+// The leftovers of my merge-split are the partner's half: merged, they
+// equal the partner's own merge_split_into byte for byte, and the closed
+// comparison count equals the Scalar loop's, for either side.
+TEST(MergeSplitLeftovers, MergedLeftoversAreThePartnersHalf) {
+  KernelBackendGuard guard;
+  set_kernel_backend(KernelBackend::Scalar);
+  util::Rng rng(81);
+  std::vector<Key> kept;
+  std::vector<Key> partner;
+  std::vector<Key> merged;
+  for (const std::size_t na : kSweepSizes) {
+    for (const std::size_t nb : kSweepSizes) {
+      for (int fa = 0; fa < 7; ++fa) {
+        for (int fb = 0; fb < 7; ++fb) {
+          const auto a = sorted_family(fa, na, rng);
+          const auto b = sorted_family(fb, nb, rng);
+          for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
+            const SplitHalf other = keep == SplitHalf::Lower
+                                        ? SplitHalf::Upper
+                                        : SplitHalf::Lower;
+            const auto where = [&] {
+              return "na=" + std::to_string(na) + " nb=" +
+                     std::to_string(nb) + " fa=" + std::to_string(fa) +
+                     " fb=" + std::to_string(fb) +
+                     (keep == SplitHalf::Lower ? " Lower" : " Upper");
+            };
+            std::uint64_t c_kept = 0;
+            std::uint64_t c_partner = 0;
+            merge_split_into(a, b, keep, kept, c_kept);
+            merge_split_into(b, a, other, partner, c_partner);
+
+            const SplitRuns left = merge_split_leftovers(a, b, keep);
+            merged.resize(left.mine.size() + left.theirs.size());
+            std::merge(left.mine.begin(), left.mine.end(),
+                       left.theirs.begin(), left.theirs.end(),
+                       merged.begin());
+            ASSERT_EQ(merged, partner) << where();
+            // The runs are cut at the merge path, ties to `b` first.
+            const std::size_t i =
+                replayed_merge_path(a, b, keep == SplitHalf::Lower ? na : nb);
+            ASSERT_EQ(left.mine.size(), keep == SplitHalf::Lower ? na - i : i)
+                << where();
+
+            ASSERT_EQ(merge_split_comparisons(a, b, keep), c_kept) << where();
+            ASSERT_EQ(merge_split_comparisons(b, a, other), c_partner)
+                << where();
           }
         }
       }
