@@ -31,7 +31,8 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
                                      std::vector<Key>& kept,
                                      std::vector<Key>& returned,
                                      std::uint64_t& comparisons);
-void resort_halves_into_scalar(std::vector<Key>& kept, std::vector<Key>& back,
+void resort_halves_into_scalar(std::vector<Key>& kept,
+                               std::span<const Key> back,
                                std::vector<Key>& out,
                                std::vector<Key>& scratch,
                                std::uint64_t& comparisons);

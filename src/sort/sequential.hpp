@@ -60,6 +60,12 @@ void sort_unimodal(std::vector<Key>& data, std::uint64_t& comparisons);
 void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
                    std::uint64_t& comparisons);
 
+/// Sorts unimodal `data` into caller-owned `out` (resized, capacity reused)
+/// and leaves `data` alone. Identical output and comparison count to
+/// `sort_unimodal`. `out` must not alias `data`.
+void sort_unimodal_into(std::span<const Key> data, std::vector<Key>& out,
+                        std::uint64_t& comparisons);
+
 /// True iff ascending (non-strict).
 bool is_ascending(std::span<const Key> data);
 

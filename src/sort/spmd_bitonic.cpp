@@ -56,7 +56,7 @@ sim::Task<void> half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
     FTSORT_REQUIRE(back.payload.size() == h);
     // back ++ kept is min(A[k], B[b-1-k]) over the block: it rises, then
     // falls, and sorting it yields the b smallest keys.
-    resort_halves_into(scratch.kept, back.payload.vec(), SplitHalf::Lower,
+    resort_halves_into(scratch.kept, back.payload.span(), SplitHalf::Lower,
                        scratch.merged, scratch.unimodal, comparisons);
     ctx.charge_compares(comparisons);
     FTSORT_ENSURE(scratch.merged.size() == b);
@@ -83,7 +83,7 @@ sim::Task<void> half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
   // exactly once — kept (h maxes) + back.payload (b-h maxes from the
   // partner's pairs); the top of my block served only as comparison input.
   // kept ++ back is max(A[k], B[b-1-k]): it falls, then rises.
-  resort_halves_into(scratch.kept, back.payload.vec(), SplitHalf::Upper,
+  resort_halves_into(scratch.kept, back.payload.span(), SplitHalf::Upper,
                      scratch.merged, scratch.unimodal, comparisons);
   ctx.charge_compares(comparisons);
   FTSORT_ENSURE(scratch.merged.size() == b);

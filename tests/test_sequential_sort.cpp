@@ -274,6 +274,31 @@ TEST(SortUnimodal, RandomMinMaxPairSequences) {
   }
 }
 
+TEST(SortUnimodal, IntoVariantMatchesInPlace) {
+  util::Rng rng(5);
+  std::vector<Key> out;
+  for (std::size_t n = 0; n <= 40; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Peaks, valleys, monotone runs and plateaus from min/max pairs of
+      // few-distinct keys.
+      auto a = gen_few_distinct(n, 1 + n % 5, rng);
+      auto b = gen_few_distinct(n, 1 + n % 5, rng);
+      std::sort(a.begin(), a.end());
+      std::sort(b.rbegin(), b.rend());
+      std::vector<Key> v(n);
+      for (std::size_t i = 0; i < n; ++i)
+        v[i] = trial % 2 ? std::max(a[i], b[i]) : std::min(a[i], b[i]);
+      const std::vector<Key> input = v;
+      std::uint64_t c_in_place = 0;
+      std::uint64_t c_into = 0;
+      sort_unimodal(v, c_in_place);
+      sort_unimodal_into(input, out, c_into);
+      ASSERT_EQ(out, v) << "n=" << n;
+      ASSERT_EQ(c_into, c_in_place) << "n=" << n;
+    }
+  }
+}
+
 TEST(IsAscending, DetectsOrderAndTies) {
   EXPECT_TRUE(is_ascending(std::vector<Key>{}));
   EXPECT_TRUE(is_ascending(std::vector<Key>{1}));
