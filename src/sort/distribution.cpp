@@ -1,6 +1,7 @@
 #include "sort/distribution.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/contracts.hpp"
 
@@ -27,10 +28,13 @@ Distribution distribute_evenly(std::span<const Key> keys,
 
 std::vector<Key> gather_and_strip(
     std::span<const std::vector<Key>> blocks) {
+  std::size_t total = 0;
+  for (const auto& block : blocks) total += block.size();
   std::vector<Key> out;
+  out.reserve(total);
   for (const auto& block : blocks)
-    for (Key key : block)
-      if (key != sim::kDummyKey) out.push_back(key);
+    std::copy_if(block.begin(), block.end(), std::back_inserter(out),
+                 [](Key key) { return key != sim::kDummyKey; });
   return out;
 }
 
