@@ -109,8 +109,10 @@ struct SortConfig {
   /// no dead links. protocol, coalesce and step8 are ignored. Recovery
   /// always swaps whole blocks: its guarded interpreter keeps each
   /// partner's whole post-step block as a witness, which a half exchange
-  /// (coalesced or not) never shows it. It also always runs the FullSort
-  /// Step 8, the mode its campaign baselines were recorded with.
+  /// (coalesced or not) never shows it. The witness is the two runs its
+  /// own merge-split leaves over, merged only at salvage, and is charged
+  /// the partner's merge-split comparisons. It also always runs the
+  /// FullSort Step 8, the mode its campaign baselines were recorded with.
   bool online_recovery = false;
   RecoveryConfig recovery;
   /// Wall-clock watchdog over the run's host execution (sim/watchdog.hpp):
