@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "sort/bitonic_network.hpp"
 #include "sort/merge_split.hpp"
@@ -73,6 +75,31 @@ void BM_PairwiseSelect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/// Input pairs the merge micros cycle through, one pair per iteration.
+/// Timing one pair every iteration lets the branch predictor learn the
+/// Scalar kernel's data-dependent branches on blocks of up to a few
+/// thousand keys, which a sort's changing inputs never allow. The set
+/// holds 2^16 keys per side (4,096 pairs at 16 keys, two pairs from
+/// 32,768 on): far more branches than a predictor holds, while both
+/// sides still fit in a 2 MiB L2. `sorted`: each block ascending, as
+/// merge_split_into needs.
+std::vector<std::pair<std::vector<Key>, std::vector<Key>>> input_pairs(
+    std::size_t keys, std::uint64_t seed, bool sorted) {
+  const std::size_t count =
+      std::max<std::size_t>((std::size_t{1} << 16) / keys, 2);
+  util::Rng rng(seed);
+  std::vector<std::pair<std::vector<Key>, std::vector<Key>>> pairs(count);
+  for (auto& [a, b] : pairs) {
+    a = sort::gen_uniform(keys, rng);
+    b = sort::gen_uniform(keys, rng);
+    if (sorted) {
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+    }
+  }
+  return pairs;
+}
+
 /// Args: keys per block, backend (0 Scalar, 1 Simd), keep (0 Lower,
 /// 1 Upper). Uniform blocks overlap, so the Simd kernel merges rather than
 /// copies: one lane at 16 keys, two lanes from 64 (DESIGN §6). A Simd row
@@ -84,13 +111,13 @@ void BM_MergeSplitInto(benchmark::State& state) {
                           : sort::KernelBackend::Scalar);
   const sort::SplitHalf keep =
       state.range(2) != 0 ? sort::SplitHalf::Upper : sort::SplitHalf::Lower;
-  util::Rng rng(2);
-  auto a = sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  auto b = sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+  const auto pairs =
+      input_pairs(static_cast<std::size_t>(state.range(0)), 2, true);
+  std::size_t next = 0;
   std::vector<Key> out;
   for (auto _ : state) {
+    const auto& [a, b] = pairs[next];
+    next = next + 1 == pairs.size() ? 0 : next + 1;
     std::uint64_t comparisons = 0;
     sort::merge_split_into(a, b, keep, out, comparisons);
     benchmark::DoNotOptimize(out.data());
@@ -102,35 +129,37 @@ void BM_MergeSplitInto(benchmark::State& state) {
 }
 
 void BM_PairwiseSelectInto(benchmark::State& state) {
-  util::Rng rng(3);
-  const auto a =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  const auto b =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
+  const auto pairs =
+      input_pairs(static_cast<std::size_t>(state.range(0)), 3, false);
+  std::size_t next = 0;
   std::vector<Key> kept;
   std::vector<Key> returned;
   for (auto _ : state) {
+    const auto& [a, b] = pairs[next];
+    next = next + 1 == pairs.size() ? 0 : next + 1;
     std::uint64_t comparisons = 0;
     sort::pairwise_select_into(a, b, sort::SplitHalf::Lower, kept, returned,
                                comparisons);
     benchmark::DoNotOptimize(kept.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 void BM_PairwiseSelectRevInto(benchmark::State& state) {
-  util::Rng rng(3);
-  const auto a =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  const auto b =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
+  const auto pairs =
+      input_pairs(static_cast<std::size_t>(state.range(0)), 3, false);
+  std::size_t next = 0;
   std::vector<Key> kept;
   std::vector<Key> returned;
   for (auto _ : state) {
+    const auto& [a, b] = pairs[next];
+    next = next + 1 == pairs.size() ? 0 : next + 1;
     std::uint64_t comparisons = 0;
     sort::pairwise_select_rev_into(a, b, sort::SplitHalf::Lower, kept,
                                    returned, comparisons);
     benchmark::DoNotOptimize(kept.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

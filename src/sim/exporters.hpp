@@ -75,8 +75,8 @@ void write_chrome_trace(std::ostream& os,
                         const ChromeTraceOptions& opts);
 
 /// Structural validation of a trace_events JSON document as produced by
-/// write_chrome_trace: well-formed nesting, the traceEvents wrapper, the
-/// required keys per event (`name`/`ph`, plus `ts`/`pid`/`tid` outside
+/// write_chrome_trace: strict JSON (util::json), the traceEvents wrapper,
+/// for each element of `traceEvents` the required keys (`name`/`ph`, plus `ts`/`pid`/`tid` outside
 /// metadata), known `ph` codes, per-track span balance, flow ends bound to
 /// an earlier flow start, and fault instants carrying their phase. Returns
 /// false and fills `error` (when non-null) with the first problem found.

@@ -1,82 +1,57 @@
 #include "tools/ftdiag.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "sim/phase.hpp"
+#include "util/json.hpp"
 #include "util/schema.hpp"
 
 namespace ftsort::tools {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON scanning, in lockstep with the repo's hand-rolled writers
-// (sim::write_chrome_trace, sim::write_metrics_json, bench_harness
-// write_json). Not a general parser: it only needs the exact shapes those
-// emit, plus whitespace tolerance.
+namespace json = util::json;
 
-/// Index one past the matching close for the `open` at `start`; npos on
-/// imbalance. String-aware (quoted text may contain braces).
-std::size_t match_delim(const std::string& text, std::size_t start,
-                        char open, char close) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == open) {
-      ++depth;
-    } else if (c == close) {
-      if (--depth == 0) return i + 1;
-    }
+/// A reader's refusal of a document that parsed but is not what the
+/// reader reads. Shares json::Error with the parser and the typed
+/// accessors, so each public reader has one catch.
+[[noreturn]] void refuse(const std::string& why) { throw json::Error(why); }
+
+/// What each reader expects, appended to a parse error so that a file
+/// that is not JSON at all still names the structure that was wanted.
+constexpr const char* kTraceDoc = "a Chrome trace with \"traceEvents\"";
+constexpr const char* kExportDoc =
+    "a metrics export with \"phases\" or a bench export with "
+    "\"scenarios\"";
+constexpr const char* kCampaignDoc = "a campaign export with \"buckets\"";
+constexpr const char* kLineageDoc = "a metrics export with a \"lineage\" block";
+constexpr const char* kDumpDoc = "a watchdog dump with \"watchdog_dump\"";
+
+std::string parse_failure(const char* what, const char* expect) {
+  return std::string(what) + " (expected " + expect + ")";
+}
+
+/// Text entry points: parse, then run the document reader `read`.
+template <class Result, class Fn>
+Result read_text(const std::string& text, const char* expect, Fn&& read) {
+  json::Value doc;
+  try {
+    doc = json::parse(text);
+  } catch (const json::Error& e) {
+    Result res;
+    res.error = parse_failure(e.what(), expect);
+    return res;
   }
-  return std::string::npos;
-}
-
-/// Value of a `"key": "string"` field inside `obj`, or empty.
-std::string string_field(const std::string& obj, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": \"";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = obj.find('"', begin);
-  if (end == std::string::npos) return {};
-  return obj.substr(begin, end - begin);
-}
-
-/// Numeric `"key": value` field inside `obj`; false when absent.
-bool num_field(const std::string& obj, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return false;
-  const char* begin = obj.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return false;
-  *out = v;
-  return true;
-}
-
-double num_or(const std::string& obj, const char* key, double fallback) {
-  double v = fallback;
-  num_field(obj, key, &v);
-  return v;
+  return read(doc);
 }
 
 // Newest schema version each reader understands — derived from the one
@@ -89,18 +64,18 @@ constexpr double kBenchSchemaMax = util::kBenchSchemaVersion;
 constexpr double kCampaignSchemaMax = util::kCampaignSchemaVersion;
 constexpr double kWatchdogSchemaMax = util::kWatchdogDumpSchemaVersion;
 
-/// Refuses documents newer than `ceiling`. `what` names the format in
-/// the error ("metrics JSON", ...). A missing schema_version (hand-made
-/// fixtures, pre-versioning files) passes: absent means v0.
-bool check_schema_ceiling(const std::string& text, const char* what,
-                          double ceiling, std::string* err) {
-  const double sv = num_or(text, "schema_version", 0.0);
-  if (sv <= ceiling) return true;
+/// Refuses documents whose top-level schema_version is newer than
+/// `ceiling`. `what` names the format in the error ("metrics JSON", ...).
+/// A missing schema_version (hand-made fixtures, pre-versioning files)
+/// passes: absent means v0.
+void check_schema_ceiling(const json::Ref& doc, const char* what,
+                          double ceiling) {
+  const double sv = doc.get_or("schema_version", 0.0);
+  if (sv <= ceiling) return;
   char buf[96];
   std::snprintf(buf, sizeof buf, "%s is schema v%g, this build reads up to v%g",
                 what, sv, ceiling);
-  *err = buf;
-  return false;
+  refuse(buf);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,162 +102,78 @@ struct RunSample {
 };
 
 struct ParsedDoc {
-  bool ok = false;
-  std::string error;
   bool bench_format = false;  ///< true = bench scenarios, false = metrics
   std::vector<RunSample> runs;
 };
 
-/// Signature of the `"cost_model": { ... }` block inside `obj` (a whole
-/// metrics export or one bench scenario object), or empty when the block
-/// is absent. Formats the constants with %g so the signature is stable
-/// across the %.17g writers in both exporters.
-std::string cost_signature(const std::string& obj) {
-  const std::size_t at = obj.find("\"cost_model\": {");
-  if (at == std::string::npos) return {};
-  const std::size_t open = obj.find('{', at);
-  const std::size_t end = match_delim(obj, open, '{', '}');
-  if (end == std::string::npos) return {};
-  const std::string block = obj.substr(open, end - open);
+/// Signature of the `cost_model` object of `obj` (a whole metrics export
+/// or one bench scenario object), or empty when the block is absent.
+/// Formats the constants with %g so the signature is stable across the
+/// %.17g writers in both exporters.
+std::string cost_signature(const json::Ref& obj) {
+  const std::optional<json::Ref> cm = obj.find("cost_model");
+  if (!cm) return {};
   char buf[160];
   std::snprintf(buf, sizeof buf, "%s/%s t_c=%g t_t=%g t_s=%g",
-                string_field(block, "name").c_str(),
-                string_field(block, "routing").c_str(),
-                num_or(block, "t_compare", 0.0),
-                num_or(block, "t_transfer", 0.0),
-                num_or(block, "t_startup", 0.0));
+                cm->get_or("name", std::string()).c_str(),
+                cm->get_or("routing", std::string()).c_str(),
+                cm->get_or("t_compare", 0.0), cm->get_or("t_transfer", 0.0),
+                cm->get_or("t_startup", 0.0));
   return buf;
 }
 
-/// Parse one `{"phase"|name: {...}}`-style slice object into `out`.
-void read_phase_counters(const std::string& obj, PhaseSample* out) {
-  out->critical_time = num_or(obj, "critical_time", 0.0);
-  double comm = 0.0;
-  double compute = 0.0;
-  const bool has_comm = num_field(obj, "critical_comm", &comm);
-  const bool has_compute = num_field(obj, "critical_compute", &compute);
-  out->critical_comm = comm;
-  out->critical_compute = compute;
-  out->has_split = has_comm && has_compute;
+/// One phase slice: a metrics `phases[]` element or a bench phase entry.
+PhaseSample read_phase_counters(const json::Ref& obj) {
+  PhaseSample out;
+  out.critical_time = obj.get_or("critical_time", 0.0);
+  const std::optional<json::Ref> comm = obj.find("critical_comm");
+  const std::optional<json::Ref> compute = obj.find("critical_compute");
+  out.critical_comm = comm ? comm->number() : 0.0;
+  out.critical_compute = compute ? compute->number() : 0.0;
+  out.has_split = comm && compute;
+  return out;
 }
 
 /// Metrics format: top-level `"phases": [ {"phase": "name", ...}, ... ]`.
-bool parse_metrics_doc(const std::string& text, ParsedDoc* doc,
-                       std::string* err) {
-  if (!check_schema_ceiling(text, "metrics JSON", kMetricsSchemaMax, err))
-    return false;
+void parse_metrics_doc(const json::Ref& doc, ParsedDoc* out) {
+  check_schema_ceiling(doc, "metrics JSON", kMetricsSchemaMax);
   RunSample run;
-  run.makespan = num_or(text, "makespan", 0.0);
-  run.cost_sig = cost_signature(text);
-  const std::size_t at = text.find("\"phases\": [");
-  if (at == std::string::npos) {
-    *err = "metrics JSON without a \"phases\" array";
-    return false;
-  }
-  std::size_t pos = text.find('[', at);
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"phases\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated phase object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
-    const std::string name = string_field(obj, "phase");
-    if (name.empty()) {
-      *err = "phase object without a \"phase\" name: " + obj;
-      return false;
-    }
-    read_phase_counters(obj, &run.phases[name]);
-    pos = end;
-  }
-  doc->bench_format = false;
-  doc->runs.push_back(std::move(run));
-  return true;
+  run.makespan = doc.get_or("makespan", 0.0);
+  run.cost_sig = cost_signature(doc);
+  const std::optional<json::Ref> phases = doc.find("phases");
+  if (!phases) refuse("metrics JSON without a \"phases\" array");
+  for (const json::Ref& slice : phases->items())
+    run.phases[slice["phase"].str()] = read_phase_counters(slice);
+  out->bench_format = false;
+  out->runs.push_back(std::move(run));
 }
 
 /// Bench format: `"scenarios": [ {"name": ..., "phases": { ... }}, ... ]`.
-bool parse_bench_doc(const std::string& text, ParsedDoc* doc,
-                     std::string* err) {
-  if (!check_schema_ceiling(text, "bench JSON", kBenchSchemaMax, err))
-    return false;
-  std::size_t pos = text.find('[', text.find("\"scenarios\""));
-  if (pos == std::string::npos) {
-    *err = "bench JSON without a \"scenarios\" array";
-    return false;
-  }
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"scenarios\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated scenario object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
+void parse_bench_doc(const json::Ref& doc, ParsedDoc* out) {
+  check_schema_ceiling(doc, "bench JSON", kBenchSchemaMax);
+  for (const json::Ref& sc : doc["scenarios"].items()) {
     RunSample run;
-    run.scenario = string_field(obj, "name");
-    if (run.scenario.empty()) {
-      *err = "scenario without a \"name\"";
-      return false;
-    }
-    run.makespan = num_or(obj, "makespan", 0.0);
-    run.cost_sig = cost_signature(obj);
-    const std::size_t ph = obj.find("\"phases\": {");
-    if (ph != std::string::npos) {
-      std::size_t p = obj.find('{', ph);
-      const std::size_t pstop = match_delim(obj, p, '{', '}');
-      if (pstop == std::string::npos) {
-        *err = "unterminated \"phases\" object in scenario " + run.scenario;
-        return false;
-      }
-      ++p;  // step inside the phases object
-      while (true) {
-        // Each entry is `"phase_name": { ... }`.
-        const std::size_t q = obj.find('"', p);
-        if (q == std::string::npos || q >= pstop - 1) break;
-        const std::size_t qe = obj.find('"', q + 1);
-        if (qe == std::string::npos || qe >= pstop) break;
-        const std::string name = obj.substr(q + 1, qe - q - 1);
-        const std::size_t body = obj.find('{', qe);
-        if (body == std::string::npos || body >= pstop) break;
-        const std::size_t bend = match_delim(obj, body, '{', '}');
-        if (bend == std::string::npos) {
-          *err = "unterminated phase entry \"" + name + "\"";
-          return false;
-        }
-        read_phase_counters(obj.substr(body, bend - body),
-                            &run.phases[name]);
-        p = bend;
-      }
-    }
-    doc->runs.push_back(std::move(run));
-    pos = end;
+    run.scenario = sc["name"].str();
+    run.makespan = sc.get_or("makespan", 0.0);
+    run.cost_sig = cost_signature(sc);
+    if (const std::optional<json::Ref> phases = sc.find("phases"))
+      for (const auto& [name, slice] : phases->members())
+        run.phases[name] = read_phase_counters(slice);
+    out->runs.push_back(std::move(run));
   }
-  doc->bench_format = true;
-  return true;
+  out->bench_format = true;
 }
 
-ParsedDoc parse_doc(const std::string& text) {
-  ParsedDoc doc;
-  std::string err;
-  const bool ok = text.find("\"scenarios\"") != std::string::npos
-                      ? parse_bench_doc(text, &doc, &err)
-                      : parse_metrics_doc(text, &doc, &err);
-  doc.ok = ok;
-  doc.error = err;
-  return doc;
+/// The format is chosen by the top-level key: bench exports carry
+/// `scenarios`, metrics exports do not.
+ParsedDoc parse_doc(const json::Value& value) {
+  const json::Ref doc(value);
+  ParsedDoc out;
+  if (doc.find("scenarios"))
+    parse_bench_doc(doc, &out);
+  else
+    parse_metrics_doc(doc, &out);
+  return out;
 }
 
 void put_pct(std::ostream& os, double pct) {
@@ -302,65 +193,47 @@ void put_us(std::ostream& os, double us) {
 // ---------------------------------------------------------------------------
 // explain
 
-ExplainResult explain_trace_json(const std::string& json) {
+static ExplainResult explain_trace_json(const util::json::Value& trace) {
   ExplainResult res;
-  const std::size_t wrapper = json.find("\"traceEvents\"");
-  if (wrapper == std::string::npos) {
-    res.error = "not a Chrome trace: missing \"traceEvents\"";
-    return res;
-  }
-  std::size_t pos = json.find('[', wrapper);
-  if (pos == std::string::npos) {
-    res.error = "missing traceEvents array";
-    return res;
-  }
-  const std::size_t stop = match_delim(json, pos, '[', ']');
-  if (stop == std::string::npos) {
-    res.error = "unterminated traceEvents array";
-    return res;
-  }
-
   sim::DiagnosisInput input;
-  while (true) {
-    pos = json.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(json, pos, '{', '}');
-    if (end == std::string::npos) {
-      res.error = "unterminated event object";
-      return res;
+  try {
+    const json::Ref doc(trace);
+    const std::optional<json::Ref> events = doc.find("traceEvents");
+    if (!events) refuse("not a Chrome trace: missing \"traceEvents\"");
+    for (const json::Ref& ev : events->items()) {
+      const std::string& name = ev["name"].str();
+      const std::optional<json::Ref> args = ev.find("args");
+      if (name == "trace_dropped") {
+        // Ring-eviction metadata (always exported, count 0 = complete
+        // trace). A nonzero count makes diagnose() degrade a silent-peer
+        // verdict to RootKind::Evicted instead of guessing from a partial
+        // event stream.
+        input.trace_dropped =
+            args ? args->get_or("count", std::uint64_t{0}) : 0;
+        continue;
+      }
+      if (name != "timeout" && name != "kill") continue;
+      const double ts = ev["ts"].number();
+      const auto node = static_cast<cube::NodeId>(ev["tid"].uint64());
+      const sim::Phase phase = sim::phase_from_name(
+          args ? args->get_or("phase", std::string()) : std::string());
+      if (name == "timeout") {
+        ++res.timeout_events;
+        input.waits.push_back(
+            {node,
+             static_cast<cube::NodeId>(
+                 args ? args->get_or("src", std::uint64_t{0}) : 0),
+             static_cast<sim::Tag>(
+                 args ? args->get_or("tag", std::uint64_t{0}) : 0),
+             ts, phase, /*expired=*/true});
+      } else {
+        ++res.kill_events;
+        input.kills.push_back({node, ts, phase});
+      }
     }
-    const std::string obj = json.substr(pos, end - pos);
-    pos = end;
-    const std::string name = string_field(obj, "name");
-    if (name == "trace_dropped") {
-      // Ring-eviction metadata (always exported, count 0 = complete
-      // trace). A nonzero count makes diagnose() degrade a silent-peer
-      // verdict to RootKind::Evicted instead of guessing from a partial
-      // event stream.
-      input.trace_dropped =
-          static_cast<std::uint64_t>(num_or(obj, "count", 0.0));
-      continue;
-    }
-    if (name != "timeout" && name != "kill") continue;
-    double ts = 0.0;
-    double tid = 0.0;
-    if (!num_field(obj, "ts", &ts) || !num_field(obj, "tid", &tid)) {
-      res.error = "fault instant without ts/tid: " + obj;
-      return res;
-    }
-    const sim::Phase phase =
-        sim::phase_from_name(string_field(obj, "phase"));
-    const auto node = static_cast<cube::NodeId>(tid);
-    if (name == "timeout") {
-      ++res.timeout_events;
-      input.waits.push_back(
-          {node, static_cast<cube::NodeId>(num_or(obj, "src", 0.0)),
-           static_cast<sim::Tag>(num_or(obj, "tag", 0.0)), ts, phase,
-           /*expired=*/true});
-    } else {
-      ++res.kill_events;
-      input.kills.push_back({node, ts, phase});
-    }
+  } catch (const json::Error& e) {
+    res.error = e.what();
+    return res;
   }
 
   const sim::Diagnosis::Kind kind =
@@ -381,23 +254,66 @@ ExplainResult explain_trace_json(const std::string& json) {
   return res;
 }
 
+ExplainResult explain_trace_json(const std::string& json) {
+  return read_text<ExplainResult>(
+      json, kTraceDoc,
+      [](const json::Value& doc) { return explain_trace_json(doc); });
+}
+
 // ---------------------------------------------------------------------------
 // diff
 
-DiffResult diff_json(const std::string& a, const std::string& b,
-                     double threshold_pct) {
+namespace {
+
+/// Both documents of a two-file reader, each refusal labelled with the
+/// file it came from.
+template <class Doc, class Fn>
+bool read_pair(const json::Value& a, const json::Value& b, Fn&& read,
+               Doc* da, Doc* db, std::string* err) {
+  try {
+    *da = read(a);
+  } catch (const json::Error& e) {
+    *err = std::string("first file: ") + e.what();
+    return false;
+  }
+  try {
+    *db = read(b);
+  } catch (const json::Error& e) {
+    *err = std::string("second file: ") + e.what();
+    return false;
+  }
+  return true;
+}
+
+/// Text entry point of a two-file reader.
+template <class Result, class Fn>
+Result read_text_pair(const std::string& a, const std::string& b,
+                      const char* expect, Fn&& read) {
+  json::Value da;
+  json::Value db;
+  const char* side = "first file: ";
+  try {
+    da = json::parse(a);
+    side = "second file: ";
+    db = json::parse(b);
+  } catch (const json::Error& e) {
+    Result res;
+    res.error = side + parse_failure(e.what(), expect);
+    return res;
+  }
+  return read(da, db);
+}
+
+}  // namespace
+
+static DiffResult diff_json(const util::json::Value& a,
+                            const util::json::Value& b,
+                            double threshold_pct) {
   DiffResult res;
   res.threshold_pct = threshold_pct;
-  const ParsedDoc da = parse_doc(a);
-  if (!da.ok) {
-    res.error = "first file: " + da.error;
-    return res;
-  }
-  const ParsedDoc db = parse_doc(b);
-  if (!db.ok) {
-    res.error = "second file: " + db.error;
-    return res;
-  }
+  ParsedDoc da;
+  ParsedDoc db;
+  if (!read_pair(a, b, parse_doc, &da, &db, &res.error)) return res;
   if (da.bench_format != db.bench_format) {
     res.error = "format mismatch: one file is a bench export, the other a "
                 "metrics export";
@@ -490,6 +406,14 @@ DiffResult diff_json(const std::string& a, const std::string& b,
   return res;
 }
 
+DiffResult diff_json(const std::string& a, const std::string& b,
+                     double threshold_pct) {
+  return read_text_pair<DiffResult>(
+      a, b, kExportDoc, [&](const json::Value& da, const json::Value& db) {
+        return diff_json(da, db, threshold_pct);
+      });
+}
+
 // ---------------------------------------------------------------------------
 // hotspots
 
@@ -513,167 +437,87 @@ struct LinkRun {
   std::map<std::string, double> phase_comm;
 };
 
-void read_dim_entry(const std::string& obj, DimTraffic* out) {
-  out->traversals = num_or(obj, "traversals", 0.0);
-  out->key_hops = num_or(obj, "key_hops", 0.0);
-  out->busy = num_or(obj, "busy", 0.0);
-  out->utilization = num_or(obj, "utilization", 0.0);
+DimTraffic read_dim_entry(const json::Ref& obj) {
+  DimTraffic out;
+  out.traversals = obj.get_or("traversals", 0.0);
+  out.key_hops = obj.get_or("key_hops", 0.0);
+  out.busy = obj.get_or("busy", 0.0);
+  out.utilization = obj.get_or("utilization", 0.0);
+  return out;
 }
 
-/// Metrics format: the `"links"` block plus per-phase `key_hops`.
-bool parse_links_metrics(const std::string& text, std::vector<LinkRun>* runs,
-                         std::string* err) {
-  if (!check_schema_ceiling(text, "metrics JSON", kMetricsSchemaMax, err))
-    return false;
-  const std::size_t at = text.find("\"links\": {");
-  if (at == std::string::npos) {
-    *err = "metrics JSON without a \"links\" block (schema v3 required)";
-    return false;
-  }
-  const std::size_t block_start = text.find('{', at);
-  const std::size_t block_end = match_delim(text, block_start, '{', '}');
-  if (block_end == std::string::npos) {
-    *err = "unterminated \"links\" block";
-    return false;
-  }
-  const std::string block = text.substr(block_start, block_end - block_start);
-  if (block.find("\"enabled\": true") == std::string::npos) {
-    *err = "run recorded no link telemetry (record_link_stats off)";
-    return false;
-  }
+/// Metrics format: the `links` block plus per-phase `key_hops`.
+std::vector<LinkRun> parse_links_metrics(const json::Ref& doc) {
+  check_schema_ceiling(doc, "metrics JSON", kMetricsSchemaMax);
+  const std::optional<json::Ref> links = doc.find("links");
+  if (!links)
+    refuse("metrics JSON without a \"links\" block (schema v3 required)");
+  if (!links->get_or("enabled", false))
+    refuse("run recorded no link telemetry (record_link_stats off)");
   LinkRun run;
-  const std::size_t tot = block.find("\"total\": {");
-  if (tot != std::string::npos)
-    run.total_key_hops =
-        num_or(block.substr(tot, block.find('}', tot) - tot), "key_hops", 0.0);
-  std::size_t pos = block.find("\"per_dimension\"");
-  while (pos != std::string::npos) {
-    pos = block.find('{', pos);
-    if (pos == std::string::npos) break;
-    const std::size_t end = match_delim(block, pos, '{', '}');
-    if (end == std::string::npos) break;
-    const std::string obj = block.substr(pos, end - pos);
-    double d = -1.0;
-    if (num_field(obj, "dim", &d) && d >= 0.0)
-      read_dim_entry(obj, &run.dims[static_cast<int>(d)]);
-    pos = end;
-  }
+  if (const std::optional<json::Ref> total = links->find("total"))
+    run.total_key_hops = total->get_or("key_hops", 0.0);
+  if (const std::optional<json::Ref> dims = links->find("per_dimension"))
+    for (const json::Ref& cell : dims->items())
+      run.dims[static_cast<int>(cell["dim"].uint64())] = read_dim_entry(cell);
   // Per-phase comm volume from the phases array.
-  const std::size_t ph = text.find("\"phases\": [");
-  if (ph != std::string::npos) {
-    std::size_t p = text.find('[', ph);
-    const std::size_t pstop = match_delim(text, p, '[', ']');
-    while (pstop != std::string::npos) {
-      p = text.find('{', p);
-      if (p == std::string::npos || p >= pstop) break;
-      const std::size_t end = match_delim(text, p, '{', '}');
-      if (end == std::string::npos) break;
-      const std::string obj = text.substr(p, end - p);
-      const std::string name = string_field(obj, "phase");
-      const double hops = num_or(obj, "key_hops", 0.0);
-      if (!name.empty() && hops > 0.0) run.phase_comm[name] = hops;
-      p = end;
+  if (const std::optional<json::Ref> phases = doc.find("phases"))
+    for (const json::Ref& slice : phases->items()) {
+      const double hops = slice.get_or("key_hops", 0.0);
+      if (hops > 0.0) run.phase_comm[slice["phase"].str()] = hops;
     }
-  }
-  runs->push_back(std::move(run));
-  return true;
+  return {std::move(run)};
 }
 
-/// Bench format: per-scenario `link_key_hops` / `"link_dimensions"`.
-bool parse_links_bench(const std::string& text, std::vector<LinkRun>* runs,
-                       std::string* err) {
-  if (!check_schema_ceiling(text, "bench JSON", kBenchSchemaMax, err))
-    return false;
-  std::size_t pos = text.find('[', text.find("\"scenarios\""));
-  if (pos == std::string::npos) {
-    *err = "bench JSON without a \"scenarios\" array";
-    return false;
-  }
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"scenarios\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated scenario object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
-    pos = end;
-    const std::size_t ld = obj.find("\"link_dimensions\": {");
-    if (ld == std::string::npos) continue;  // kernel micro: no link data
+/// Bench format: per-scenario `link_key_hops` / `link_dimensions`.
+std::vector<LinkRun> parse_links_bench(const json::Ref& doc) {
+  check_schema_ceiling(doc, "bench JSON", kBenchSchemaMax);
+  std::vector<LinkRun> runs;
+  for (const json::Ref& sc : doc["scenarios"].items()) {
+    const std::optional<json::Ref> dims = sc.find("link_dimensions");
+    if (!dims) continue;  // kernel micro: no link data
     LinkRun run;
-    run.scenario = string_field(obj, "name");
-    run.total_key_hops = num_or(obj, "link_key_hops", 0.0);
-    std::size_t p = obj.find('{', ld);
-    const std::size_t pstop = match_delim(obj, p, '{', '}');
-    if (pstop == std::string::npos) {
-      *err = "unterminated \"link_dimensions\" in scenario " + run.scenario;
-      return false;
-    }
-    ++p;
-    while (true) {
-      // Each entry is `"<dim>": { ... }`.
-      const std::size_t q = obj.find('"', p);
-      if (q == std::string::npos || q >= pstop - 1) break;
-      const std::size_t qe = obj.find('"', q + 1);
-      if (qe == std::string::npos || qe >= pstop) break;
-      const int d = std::atoi(obj.substr(q + 1, qe - q - 1).c_str());
-      const std::size_t body = obj.find('{', qe);
-      if (body == std::string::npos || body >= pstop) break;
-      const std::size_t bend = match_delim(obj, body, '{', '}');
-      if (bend == std::string::npos) break;
-      read_dim_entry(obj.substr(body, bend - body), &run.dims[d]);
-      p = bend;
+    run.scenario = sc["name"].str();
+    run.total_key_hops = sc.get_or("link_key_hops", 0.0);
+    for (const auto& [key, cell] : dims->members()) {
+      int d = -1;
+      const auto [end, ec] =
+          std::from_chars(key.data(), key.data() + key.size(), d);
+      if (ec != std::errc{} || end != key.data() + key.size() || d < 0)
+        refuse(dims->path() + ": key \"" + key + "\" is not a dimension");
+      run.dims[d] = read_dim_entry(cell);
     }
     // Comm volume per phase: the bench rows carry keys_sent.
-    const std::size_t ph = obj.find("\"phases\": {");
-    if (ph != std::string::npos) {
-      std::size_t pp = obj.find('{', ph);
-      const std::size_t ppstop = match_delim(obj, pp, '{', '}');
-      ++pp;
-      while (ppstop != std::string::npos) {
-        const std::size_t q = obj.find('"', pp);
-        if (q == std::string::npos || q >= ppstop - 1) break;
-        const std::size_t qe = obj.find('"', q + 1);
-        if (qe == std::string::npos || qe >= ppstop) break;
-        const std::string name = obj.substr(q + 1, qe - q - 1);
-        const std::size_t body = obj.find('{', qe);
-        if (body == std::string::npos || body >= ppstop) break;
-        const std::size_t bend = match_delim(obj, body, '{', '}');
-        if (bend == std::string::npos) break;
-        const double keys =
-            num_or(obj.substr(body, bend - body), "keys_sent", 0.0);
+    if (const std::optional<json::Ref> phases = sc.find("phases"))
+      for (const auto& [name, slice] : phases->members()) {
+        const double keys = slice.get_or("keys_sent", 0.0);
         if (keys > 0.0) run.phase_comm[name] = keys;
-        pp = bend;
       }
-    }
-    runs->push_back(std::move(run));
+    runs.push_back(std::move(run));
   }
-  if (runs->empty()) {
-    *err = "no scenario carries link telemetry (link_dimensions)";
-    return false;
-  }
-  return true;
+  if (runs.empty())
+    refuse("no scenario carries link telemetry (link_dimensions)");
+  return runs;
 }
 
-bool parse_links_doc(const std::string& text, std::vector<LinkRun>* runs,
-                     std::string* err) {
-  return text.find("\"scenarios\"") != std::string::npos
-             ? parse_links_bench(text, runs, err)
-             : parse_links_metrics(text, runs, err);
+std::vector<LinkRun> parse_links_doc(const json::Value& value) {
+  const json::Ref doc(value);
+  return doc.find("scenarios") ? parse_links_bench(doc)
+                               : parse_links_metrics(doc);
 }
 
 }  // namespace
 
-HotspotsResult hotspots_report(const std::string& json, std::size_t top_k) {
+static HotspotsResult hotspots_report(const util::json::Value& doc,
+                                      std::size_t top_k) {
   HotspotsResult res;
   std::vector<LinkRun> runs;
-  if (!parse_links_doc(json, &runs, &res.error)) return res;
+  try {
+    runs = parse_links_doc(doc);
+  } catch (const json::Error& e) {
+    res.error = e.what();
+    return res;
+  }
 
   std::ostringstream out;
   out << "ftdiag hotspots (dimensions ranked by wire busy time)\n";
@@ -732,21 +576,21 @@ HotspotsResult hotspots_report(const std::string& json, std::size_t top_k) {
   return res;
 }
 
-HotspotsResult hotspots_diff(const std::string& a, const std::string& b,
-                             double threshold_pct) {
+HotspotsResult hotspots_report(const std::string& json, std::size_t top_k) {
+  return read_text<HotspotsResult>(json, kExportDoc,
+                                   [&](const json::Value& doc) {
+                                     return hotspots_report(doc, top_k);
+                                   });
+}
+
+static HotspotsResult hotspots_diff(const util::json::Value& a,
+                                    const util::json::Value& b,
+                                    double threshold_pct) {
   HotspotsResult res;
   res.threshold_pct = threshold_pct;
   std::vector<LinkRun> ra;
   std::vector<LinkRun> rb;
-  std::string err;
-  if (!parse_links_doc(a, &ra, &err)) {
-    res.error = "first file: " + err;
-    return res;
-  }
-  if (!parse_links_doc(b, &rb, &err)) {
-    res.error = "second file: " + err;
-    return res;
-  }
+  if (!read_pair(a, b, parse_links_doc, &ra, &rb, &res.error)) return res;
 
   std::ostringstream out;
   out << "ftdiag hotspots diff (threshold \xC2\xB1";
@@ -806,6 +650,14 @@ HotspotsResult hotspots_diff(const std::string& a, const std::string& b,
   return res;
 }
 
+HotspotsResult hotspots_diff(const std::string& a, const std::string& b,
+                             double threshold_pct) {
+  return read_text_pair<HotspotsResult>(
+      a, b, kExportDoc, [&](const json::Value& da, const json::Value& db) {
+        return hotspots_diff(da, db, threshold_pct);
+      });
+}
+
 // ---------------------------------------------------------------------------
 // campaign
 
@@ -814,131 +666,96 @@ namespace {
 /// One parsed per-r bucket row of a campaign JSON block.
 struct CampaignBucket {
   int r = 0;
-  double trials = 0.0;
-  double completed = 0.0;
-  double recovered = 0.0;
-  double degraded = 0.0;
-  double deadlocked = 0.0;
-  double corrupt = 0.0;
-  double failed = 0.0;
+  std::uint64_t trials = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t recovered = 0;
+  std::uint64_t degraded = 0;
   double completion_probability = 0.0;
   double mean_slowdown = 0.0;
-  double mean_detect = 0.0;
-  double mean_makespan = 0.0;
   double hotspot_p90 = 0.0;
   double detect_latency_p50 = 0.0;
   double salvage_latency_p50 = 0.0;
   double restart_latency_p50 = 0.0;
 };
 
-/// Parsed header + buckets of a schema-v4 campaign document.
+/// Parsed header + buckets of a campaign document.
 struct CampaignDoc {
-  double n = 0.0;
-  double r_max = 0.0;
-  double scenarios = 0.0;
-  double trials = 0.0;
-  double seed = 0.0;
+  std::uint64_t n = 0;
+  std::uint64_t r_max = 0;
+  std::uint64_t scenarios = 0;
+  std::uint64_t trials = 0;
+  std::uint64_t seed = 0;
   std::string executor;
-  std::string outcomes;  ///< the raw rollup object, echoed verbatim
+  /// The outcome rollup in the writer's compact form
+  /// (`"completed": 6, "recovered": 5, ...`); empty when absent.
+  std::string outcomes;
   std::vector<CampaignBucket> buckets;
 };
 
-bool parse_campaign_doc(const std::string& text, CampaignDoc* doc,
-                        std::string* err) {
-  if (string_field(text, "campaign") != "fault_mc") {
-    *err = "not a campaign export: missing \"campaign\": \"fault_mc\"";
-    return false;
-  }
+CampaignDoc parse_campaign_doc(const json::Value& value) {
+  const json::Ref doc(value);
+  if (doc.get_or("campaign", std::string()) != "fault_mc")
+    refuse("not a campaign export: missing \"campaign\": \"fault_mc\"");
   // The campaign reader is exact-version: the bucket keys it relies on
   // changed meaning across versions, so both older and newer files get
   // the versioned refusal rather than zero-filled columns.
-  const double sv = num_or(text, "schema_version", 0.0);
+  const double sv = doc.get_or("schema_version", 0.0);
   if (sv != kCampaignSchemaMax) {
     char buf[96];
     std::snprintf(buf, sizeof buf,
                   "campaign JSON is schema v%g, this build reads v%g", sv,
                   kCampaignSchemaMax);
-    *err = buf;
-    return false;
+    refuse(buf);
   }
-  doc->n = num_or(text, "n", 0.0);
-  doc->r_max = num_or(text, "r_max", 0.0);
-  doc->scenarios = num_or(text, "scenarios", 0.0);
-  doc->trials = num_or(text, "trials", 0.0);
-  doc->seed = num_or(text, "seed", 0.0);
-  doc->executor = string_field(text, "executor");
-  const std::size_t oc = text.find("\"outcomes\": {");
-  if (oc != std::string::npos) {
-    const std::size_t start = text.find('{', oc);
-    const std::size_t end = match_delim(text, start, '{', '}');
-    if (end != std::string::npos)
-      doc->outcomes = text.substr(start + 1, end - start - 2);
+  const std::optional<json::Ref> buckets = doc.find("buckets");
+  if (!buckets) refuse("campaign JSON without a \"buckets\" array");
+  CampaignDoc out;
+  for (const json::Ref& b : buckets->items()) {
+    CampaignBucket row;
+    row.r = static_cast<int>(b["r"].uint64());
+    row.trials = b["trials"].uint64();
+    row.completed = b["completed"].uint64();
+    row.recovered = b["recovered"].uint64();
+    row.degraded = b["degraded"].uint64();
+    row.completion_probability = b["completion_probability"].number();
+    row.mean_slowdown = b["mean_slowdown"].number();
+    row.hotspot_p90 = b["hotspot_p90"].number();
+    row.detect_latency_p50 = b["detect_latency_p50"].number();
+    row.salvage_latency_p50 = b["salvage_latency_p50"].number();
+    row.restart_latency_p50 = b["restart_latency_p50"].number();
+    out.buckets.push_back(row);
   }
-  std::size_t pos = text.find("\"buckets\": [");
-  if (pos == std::string::npos) {
-    *err = "campaign JSON without a \"buckets\" array";
-    return false;
-  }
-  pos = text.find('[', pos);
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"buckets\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated bucket object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
-    pos = end;
-    CampaignBucket b;
-    double r = -1.0;
-    if (!num_field(obj, "r", &r) || r < 0.0) {
-      *err = "bucket object without an \"r\" field";
-      return false;
-    }
-    b.r = static_cast<int>(r);
-    b.trials = num_or(obj, "trials", 0.0);
-    b.completed = num_or(obj, "completed", 0.0);
-    b.recovered = num_or(obj, "recovered", 0.0);
-    b.degraded = num_or(obj, "degraded", 0.0);
-    b.deadlocked = num_or(obj, "deadlocked", 0.0);
-    b.corrupt = num_or(obj, "corrupt", 0.0);
-    b.failed = num_or(obj, "failed", 0.0);
-    b.completion_probability = num_or(obj, "completion_probability", 0.0);
-    b.mean_slowdown = num_or(obj, "mean_slowdown", 0.0);
-    b.mean_detect = num_or(obj, "mean_detect", 0.0);
-    b.mean_makespan = num_or(obj, "mean_makespan", 0.0);
-    b.hotspot_p90 = num_or(obj, "hotspot_p90", 0.0);
-    b.detect_latency_p50 = num_or(obj, "detect_latency_p50", 0.0);
-    b.salvage_latency_p50 = num_or(obj, "salvage_latency_p50", 0.0);
-    b.restart_latency_p50 = num_or(obj, "restart_latency_p50", 0.0);
-    doc->buckets.push_back(b);
-  }
-  if (doc->buckets.empty()) {
-    *err = "campaign JSON with an empty \"buckets\" array";
-    return false;
-  }
-  return true;
+  if (out.buckets.empty())
+    refuse("campaign JSON with an empty \"buckets\" array");
+  out.n = doc["n"].uint64();
+  out.r_max = doc["r_max"].uint64();
+  out.scenarios = doc["scenarios"].uint64();
+  out.trials = doc["trials"].uint64();
+  out.seed = doc["seed"].uint64();
+  out.executor = doc["executor"].str();
+  if (const std::optional<json::Ref> outcomes = doc.find("outcomes"))
+    for (const auto& [name, count] : outcomes->members())
+      out.outcomes += (out.outcomes.empty() ? "\"" : ", \"") + name +
+                      "\": " + std::to_string(count.uint64());
+  return out;
 }
 
 }  // namespace
 
-CampaignCliResult campaign_report(const std::string& json) {
+static CampaignCliResult campaign_report(const util::json::Value& json) {
   CampaignCliResult res;
   CampaignDoc doc;
-  if (!parse_campaign_doc(json, &doc, &res.error)) return res;
+  try {
+    doc = parse_campaign_doc(json);
+  } catch (const json::Error& e) {
+    res.error = e.what();
+    return res;
+  }
 
   std::ostringstream out;
-  out << "ftdiag campaign: Q_" << static_cast<int>(doc.n) << ", r <= "
-      << static_cast<int>(doc.r_max) << ", "
-      << static_cast<long>(doc.trials) << " trial(s) over "
-      << static_cast<long>(doc.scenarios) << " scenario(s), seed "
-      << static_cast<unsigned long long>(doc.seed) << ", " << doc.executor
+  out << "ftdiag campaign: Q_" << doc.n << ", r <= " << doc.r_max << ", "
+      << doc.trials << " trial(s) over " << doc.scenarios
+      << " scenario(s), seed " << doc.seed << ", " << doc.executor
       << " executor\n";
   if (!doc.outcomes.empty()) out << "  outcomes: " << doc.outcomes << "\n";
   char line[224];
@@ -973,21 +790,20 @@ CampaignCliResult campaign_report(const std::string& json) {
   return res;
 }
 
-CampaignCliResult campaign_diff(const std::string& a, const std::string& b,
-                                double threshold_pct) {
+CampaignCliResult campaign_report(const std::string& json) {
+  return read_text<CampaignCliResult>(
+      json, kCampaignDoc,
+      [](const json::Value& doc) { return campaign_report(doc); });
+}
+
+static CampaignCliResult campaign_diff(const util::json::Value& a,
+                                       const util::json::Value& b,
+                                       double threshold_pct) {
   CampaignCliResult res;
   res.threshold_pct = threshold_pct;
   CampaignDoc da;
   CampaignDoc db;
-  std::string err;
-  if (!parse_campaign_doc(a, &da, &err)) {
-    res.error = "first file: " + err;
-    return res;
-  }
-  if (!parse_campaign_doc(b, &db, &err)) {
-    res.error = "second file: " + err;
-    return res;
-  }
+  if (!read_pair(a, b, parse_campaign_doc, &da, &db, &res.error)) return res;
 
   std::ostringstream out;
   out << "ftdiag campaign diff (threshold \xC2\xB1";
@@ -1039,6 +855,14 @@ CampaignCliResult campaign_diff(const std::string& a, const std::string& b,
   res.ok = true;
   res.text = out.str();
   return res;
+}
+
+CampaignCliResult campaign_diff(const std::string& a, const std::string& b,
+                                double threshold_pct) {
+  return read_text_pair<CampaignCliResult>(
+      a, b, kCampaignDoc, [&](const json::Value& da, const json::Value& db) {
+        return campaign_diff(da, db, threshold_pct);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1116,57 +940,43 @@ HistoryResult history_trends(const std::string& jsonl,
     begin = nl + 1;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
-    // A well-formed history line is one balanced object holding a
-    // balanced scenarios array; anything else (a crashed bench run, a
-    // partial append, editor damage) is skipped and counted, never
-    // fatal — history files are append-only and must survive one bad
-    // writer.
-    const std::size_t open = line.find('{');
-    const std::size_t close =
-        open == std::string::npos ? std::string::npos
-                                  : match_delim(line, open, '{', '}');
-    const std::size_t arr_at = line.find("\"scenarios\": [");
-    const std::size_t arr = arr_at == std::string::npos
-                                ? std::string::npos
-                                : line.find('[', arr_at);
-    const std::size_t arr_end =
-        arr == std::string::npos ? std::string::npos
-                                 : match_delim(line, arr, '[', ']');
-    if (close == std::string::npos || arr_end == std::string::npos) {
+    // A well-formed history line is one JSON object holding a
+    // scenarios array; anything else (a crashed bench run, a partial
+    // append, editor damage) is skipped and counted, never fatal —
+    // history files are append-only and must survive one bad writer.
+    struct Sample {
+      std::string name;
+      double value;
+    };
+    std::string mode;
+    std::string build;
+    std::vector<Sample> samples;
+    try {
+      const json::Value value = json::parse(line);
+      const json::Ref doc(value);
+      mode = doc.get_or("mode", std::string());
+      build = doc.get_or("build", std::string());
+      for (const json::Ref& sc : doc["scenarios"].items()) {
+        const std::optional<json::Ref> name = sc.find("name");
+        const std::optional<json::Ref> sample = sc.find(metric);
+        if (name && sample && !name->str().empty())
+          samples.push_back({name->str(), sample->number()});
+      }
+    } catch (const json::Error&) {
       ++res.skipped_lines;
       continue;
     }
-    const std::string mode = string_field(line, "mode");
-    const std::string build = string_field(line, "build");
-    bool any = false;
-    std::size_t pos = arr;
-    while (true) {
-      pos = line.find('{', pos);
-      if (pos == std::string::npos || pos >= arr_end) break;
-      const std::size_t end = match_delim(line, pos, '{', '}');
-      if (end == std::string::npos || end > arr_end) break;
-      const std::string obj = line.substr(pos, end - pos);
-      pos = end;
-      const std::string name = string_field(obj, "name");
-      double value = 0.0;
-      if (name.empty() || !num_field(obj, metric.c_str(), &value)) continue;
-      const std::string key = name + "\x1f" + mode + "\x1f" + build;
-      const auto it = index.find(key);
-      std::size_t gi;
-      if (it == index.end()) {
-        gi = groups.size();
-        index.emplace(key, gi);
-        groups.push_back({name, mode, build, {}});
-      } else {
-        gi = it->second;
-      }
-      groups[gi].samples.push_back(value);
-      any = true;
+    if (samples.empty()) {
+      ++res.skipped_lines;  // well-formed JSON but no usable sample
+      continue;
     }
-    if (any)
-      ++res.lines;
-    else
-      ++res.skipped_lines;  // balanced JSON but no usable sample
+    ++res.lines;
+    for (Sample& s : samples) {
+      const std::string key = s.name + "\x1f" + mode + "\x1f" + build;
+      const auto [it, fresh] = index.emplace(key, groups.size());
+      if (fresh) groups.push_back({s.name, mode, build, {}});
+      groups[it->second].samples.push_back(s.value);
+    }
   }
   if (res.lines == 0) {
     res.error = "no well-formed history lines in file";
@@ -1234,46 +1044,44 @@ HistoryResult history_trends(const std::string& jsonl,
 
 namespace {
 
-/// `"key": true|false` field inside `obj`; `fallback` when absent.
-bool bool_or(const std::string& obj, const char* key, bool fallback) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return fallback;
-  return obj.compare(at + needle.size(), 4, "true") == 0;
-}
-
 /// One row of the metrics export's per-key lineage detail.
 struct LineageKeyRow {
-  long id = -1;
-  double value = 0.0;
-  long origin = 0;
-  long holder = 0;
+  std::uint64_t id = 0;
+  sim::Key value = 0;
+  std::uint64_t origin = 0;
+  std::uint64_t holder = 0;
   bool dummy = false;
   bool retired = false;
   bool lost = false;
   bool salvaged = false;
-  long witness = -1;
-  long witness_step = -1;
-  double moves = 0.0;
-  double hops = 0.0;
+  std::int64_t witness = -1;
+  std::int64_t witness_step = -1;
+  std::uint64_t moves = 0;
+  std::uint64_t hops = 0;
   std::string trail;
 };
 
-void read_key_row(const std::string& obj, LineageKeyRow* row) {
-  row->id = static_cast<long>(num_or(obj, "id", -1.0));
-  row->value = num_or(obj, "value", 0.0);
-  row->origin = static_cast<long>(num_or(obj, "origin", 0.0));
-  row->holder = static_cast<long>(num_or(obj, "holder", 0.0));
-  row->dummy = bool_or(obj, "dummy", false);
-  row->retired = bool_or(obj, "retired", false);
-  row->lost = bool_or(obj, "lost", false);
-  row->salvaged = bool_or(obj, "salvaged", false);
-  row->witness = static_cast<long>(num_or(obj, "witness", -1.0));
-  row->witness_step = static_cast<long>(num_or(obj, "witness_step", -1.0));
-  row->moves = num_or(obj, "moves", 0.0);
-  row->hops = num_or(obj, "hops", 0.0);
-  row->trail = string_field(obj, "trail");
+LineageKeyRow read_key_row(const json::Ref& obj) {
+  LineageKeyRow row;
+  row.id = obj["id"].uint64();
+  row.value = obj["value"].int64();
+  row.origin = obj["origin"].uint64();
+  row.holder = obj["holder"].uint64();
+  row.dummy = obj["dummy"].boolean();
+  row.retired = obj["retired"].boolean();
+  row.lost = obj["lost"].boolean();
+  row.salvaged = obj["salvaged"].boolean();
+  row.witness = obj["witness"].int64();
+  row.witness_step = obj["witness_step"].int64();
+  row.moves = obj["moves"].uint64();
+  row.hops = obj["hops"].uint64();
+  row.trail = obj["trail"].str();
+  return row;
 }
+
+/// A key value as the reports print it: exact at any magnitude, in the
+/// "%.1f" shape the rest of the report uses ("1234.0").
+void put_key(std::ostream& os, sim::Key v) { os << v << ".0"; }
 
 /// Decode one `<code>,node,peer,step,phase` trail event (the codec of
 /// sim::lineage_event_code + sim::write_metrics_json) into a prose line.
@@ -1313,123 +1121,65 @@ std::string decode_trail_event(const std::string& ev) {
 
 }  // namespace
 
-LineageCliResult lineage_report(const std::string& json, long key,
-                                std::size_t top_n, bool audit_only) {
+static LineageCliResult lineage_report(const util::json::Value& metrics,
+                                       long key, std::size_t top_n,
+                                       bool audit_only) {
   LineageCliResult res;
-  if (!check_schema_ceiling(json, "metrics JSON", kMetricsSchemaMax,
-                            &res.error))
-    return res;
-  const std::size_t at = json.find("\"lineage\": {");
-  if (at == std::string::npos) {
-    res.error =
-        "metrics JSON without a \"lineage\" block (schema v6 required)";
-    return res;
-  }
-  const std::size_t block_start = json.find('{', at);
-  const std::size_t block_end = match_delim(json, block_start, '{', '}');
-  if (block_end == std::string::npos) {
-    res.error = "unterminated \"lineage\" block";
-    return res;
-  }
-  const std::string block =
-      json.substr(block_start, block_end - block_start);
-  if (!bool_or(block, "enabled", false)) {
-    res.error = "run recorded no lineage (record_lineage off)";
-    return res;
-  }
-
-  // Rollups. These keys all precede the audit/keys sub-objects in the
-  // writer's fixed order, so first-occurrence scanning is unambiguous.
-  const auto assigned = static_cast<long>(num_or(block, "assigned", 0.0));
-  const auto dummies = static_cast<long>(num_or(block, "dummies", 0.0));
-  const auto dropped =
-      static_cast<long>(num_or(block, "dropped_events", 0.0));
-  const auto mismatches =
-      static_cast<long>(num_or(block, "resolve_mismatches", 0.0));
-  const auto untracked =
-      static_cast<long>(num_or(block, "untracked_total", 0.0));
-
-  // Audit block with the named violations.
   struct LostRow {
-    long id = 0;
-    double value = 0.0;
-    long last_holder = 0;
+    std::uint64_t id = 0;
+    sim::Key value = 0;
+    std::uint64_t last_holder = 0;
     std::string phase;
   };
   struct DupRow {
-    double value = 0.0;
-    long extra = 0;
+    sim::Key value = 0;
+    std::uint64_t extra = 0;
   };
+  std::uint64_t assigned = 0;
+  std::uint64_t dummies = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t untracked = 0;
+  std::uint64_t salvaged = 0;
+  std::uint64_t witnessed = 0;
+  std::uint64_t keys_emitted = 0;
   std::vector<LostRow> lost_rows;
   std::vector<DupRow> dup_rows;
-  long salvaged = 0;
-  long witnessed = 0;
-  {
-    const std::size_t aud = block.find("\"audit\": {");
-    if (aud == std::string::npos) {
-      res.error = "lineage block without an \"audit\" object";
-      return res;
-    }
-    const std::size_t astart = block.find('{', aud);
-    const std::size_t aend = match_delim(block, astart, '{', '}');
-    if (aend == std::string::npos) {
-      res.error = "unterminated \"audit\" object";
-      return res;
-    }
-    const std::string audit = block.substr(astart, aend - astart);
-    res.audit_checked = bool_or(audit, "checked", false);
-    res.audit_ok = bool_or(audit, "ok", false);
-    salvaged = static_cast<long>(num_or(audit, "salvaged", 0.0));
-    witnessed = static_cast<long>(num_or(audit, "witnessed_salvaged", 0.0));
-    const auto read_array = [&](const char* name, auto fn) {
-      const std::size_t arr_at = audit.find(std::string("\"") + name +
-                                            "\": [");
-      if (arr_at == std::string::npos) return;
-      std::size_t p = audit.find('[', arr_at);
-      const std::size_t pstop = match_delim(audit, p, '[', ']');
-      while (pstop != std::string::npos) {
-        p = audit.find('{', p);
-        if (p == std::string::npos || p >= pstop) break;
-        const std::size_t end = match_delim(audit, p, '{', '}');
-        if (end == std::string::npos) break;
-        fn(audit.substr(p, end - p));
-        p = end;
-      }
-    };
-    read_array("lost", [&](const std::string& obj) {
-      lost_rows.push_back({static_cast<long>(num_or(obj, "id", 0.0)),
-                           num_or(obj, "value", 0.0),
-                           static_cast<long>(num_or(obj, "last_holder", 0.0)),
-                           string_field(obj, "phase")});
-    });
-    read_array("duplicated", [&](const std::string& obj) {
-      dup_rows.push_back({num_or(obj, "value", 0.0),
-                          static_cast<long>(num_or(obj, "extra", 0.0))});
-    });
+  std::vector<LineageKeyRow> rows;
+  try {
+    const json::Ref doc(metrics);
+    check_schema_ceiling(doc, "metrics JSON", kMetricsSchemaMax);
+    const std::optional<json::Ref> block = doc.find("lineage");
+    if (!block)
+      refuse("metrics JSON without a \"lineage\" block (schema v6 required)");
+    if (!(*block)["enabled"].boolean())
+      refuse("run recorded no lineage (record_lineage off)");
+    const json::Ref& lin = *block;
+    assigned = lin["assigned"].uint64();
+    dummies = lin["dummies"].uint64();
+    dropped = lin["dropped_events"].uint64();
+    mismatches = lin["resolve_mismatches"].uint64();
+    untracked = lin["untracked_total"].uint64();
+    keys_emitted = lin["keys_emitted"].uint64();
+    const json::Ref audit = lin["audit"];
+    res.audit_checked = audit["checked"].boolean();
+    res.audit_ok = audit["ok"].boolean();
+    salvaged = audit["salvaged"].uint64();
+    witnessed = audit["witnessed_salvaged"].uint64();
+    for (const json::Ref& r : audit["lost"].items())
+      lost_rows.push_back({r["id"].uint64(), r["value"].int64(),
+                           r["last_holder"].uint64(), r["phase"].str()});
+    for (const json::Ref& r : audit["duplicated"].items())
+      dup_rows.push_back({r["value"].int64(), r["extra"].uint64()});
+    // Per-key detail (needed for --key and --top).
+    for (const json::Ref& r : lin["keys"].items())
+      rows.push_back(read_key_row(r));
+  } catch (const json::Error& e) {
+    res.error = e.what();
+    return res;
   }
   res.lost = lost_rows.size();
   res.duplicated = dup_rows.size();
-
-  // Per-key detail (needed for --key and --top). `"keys": [` is distinct
-  // from the `keys_total`/`keys_emitted` scalars before it.
-  std::vector<LineageKeyRow> rows;
-  {
-    const std::size_t karr = block.find("\"keys\": [");
-    if (karr != std::string::npos) {
-      std::size_t p = block.find('[', karr);
-      const std::size_t pstop = match_delim(block, p, '[', ']');
-      while (pstop != std::string::npos) {
-        p = block.find('{', p);
-        if (p == std::string::npos || p >= pstop) break;
-        const std::size_t end = match_delim(block, p, '{', '}');
-        if (end == std::string::npos) break;
-        LineageKeyRow row;
-        read_key_row(block.substr(p, end - p), &row);
-        if (row.id >= 0) rows.push_back(std::move(row));
-        p = end;
-      }
-    }
-  }
 
   std::ostringstream out;
   const auto put_verdict = [&] {
@@ -1442,13 +1192,13 @@ LineageCliResult lineage_report(const std::string& json, long key,
           << res.duplicated << " duplicated\n";
     for (const LostRow& r : lost_rows) {
       out << "    LOST id " << r.id << " value ";
-      put_us(out, r.value);
+      put_key(out, r.value);
       out << " last holder node " << r.last_holder << " [" << r.phase
           << "]\n";
     }
     for (const DupRow& r : dup_rows) {
       out << "    DUPLICATED value ";
-      put_us(out, r.value);
+      put_key(out, r.value);
       out << " x" << (r.extra + 1) << " (" << r.extra << " extra)\n";
     }
   };
@@ -1456,7 +1206,7 @@ LineageCliResult lineage_report(const std::string& json, long key,
   if (key >= 0) {
     const LineageKeyRow* row = nullptr;
     for (const LineageKeyRow& r : rows)
-      if (r.id == key) {
+      if (r.id == static_cast<std::uint64_t>(key)) {
         row = &r;
         break;
       }
@@ -1464,16 +1214,15 @@ LineageCliResult lineage_report(const std::string& json, long key,
       res.error = "no key with id " + std::to_string(key) +
                   " in the per-key detail (" + std::to_string(rows.size()) +
                   " emitted; the export caps detail at " +
-                  std::to_string(static_cast<long>(
-                      num_or(block, "keys_emitted", 0.0))) +
+                  std::to_string(keys_emitted) +
                   " keys)";
       return res;
     }
     out << "ftdiag lineage: key id " << row->id << " value ";
-    put_us(out, row->value);
+    put_key(out, row->value);
     out << "\n  origin node " << row->origin << " -> final holder node "
-        << row->holder << "; " << static_cast<long>(row->moves)
-        << " custody move(s), " << static_cast<long>(row->hops)
+        << row->holder << "; " << row->moves
+        << " custody move(s), " << row->hops
         << " link hop(s)\n";
     if (row->dummy)
       out << "  dummy padding key" << (row->retired ? " (retired)" : "")
@@ -1508,9 +1257,9 @@ LineageCliResult lineage_report(const std::string& json, long key,
     for (std::size_t i = 0; i < rows.size() && i < top_n; ++i) {
       const LineageKeyRow& r = rows[i];
       out << "  id " << r.id << " value ";
-      put_us(out, r.value);
-      out << ": " << static_cast<long>(r.hops) << " hop(s), "
-          << static_cast<long>(r.moves) << " move(s), node " << r.origin
+      put_key(out, r.value);
+      out << ": " << r.hops << " hop(s), "
+          << r.moves << " move(s), node " << r.origin
           << " -> node " << r.holder << (r.salvaged ? " [salvaged]" : "")
           << "\n";
     }
@@ -1548,73 +1297,83 @@ LineageCliResult lineage_report(const std::string& json, long key,
   for (std::size_t i = 0; i < shown; ++i) {
     const LineageKeyRow& r = rows[i];
     out << "    id " << r.id << " value ";
-    put_us(out, r.value);
-    out << ": " << static_cast<long>(r.hops) << " hop(s), "
-        << static_cast<long>(r.moves) << " move(s)\n";
+    put_key(out, r.value);
+    out << ": " << r.hops << " hop(s), "
+        << r.moves << " move(s)\n";
   }
   res.ok = true;
   res.text = out.str();
   return res;
 }
 
+LineageCliResult lineage_report(const std::string& json, long key,
+                                std::size_t top_n, bool audit_only) {
+  return read_text<LineageCliResult>(json, kLineageDoc,
+                                     [&](const json::Value& doc) {
+                                       return lineage_report(doc, key, top_n,
+                                                             audit_only);
+                                     });
+}
+
 // ---------------------------------------------------------------------------
 // stuck
 
-StuckResult stuck_report(const std::string& json) {
+static StuckResult stuck_report(const util::json::Value& dump) {
   StuckResult res;
-  if (json.find("\"watchdog_dump\": true") == std::string::npos) {
-    res.error =
-        "not a watchdog dump (missing \"watchdog_dump\" marker; expected "
-        "sim::write_watchdog_dump output)";
-    return res;
-  }
-  if (!check_schema_ceiling(json, "watchdog JSON", kWatchdogSchemaMax,
-                            &res.error))
-    return res;
-  res.origin = string_field(json, "origin");
-  if (res.origin.empty()) res.origin = "machine";
-  const std::string policy = string_field(json, "policy");
-  res.trips = static_cast<std::uint64_t>(num_or(json, "trips", 0.0));
-  res.near_misses =
-      static_cast<std::uint64_t>(num_or(json, "near_misses", 0.0));
-  const std::uint64_t deadline =
-      static_cast<std::uint64_t>(num_or(json, "deadline_ms", 0.0));
-  const std::uint64_t effective =
-      static_cast<std::uint64_t>(num_or(json, "effective_deadline_ms", 0.0));
-  const std::uint64_t interval =
-      static_cast<std::uint64_t>(num_or(json, "interval_ms", 0.0));
-  const std::uint64_t stall =
-      static_cast<std::uint64_t>(num_or(json, "stall_ms", 0.0));
-
-  const std::size_t hb = json.find("\"heartbeats\": [");
-  if (hb == std::string::npos) {
-    res.error = "watchdog dump without a \"heartbeats\" array";
-    return res;
-  }
-  const std::size_t hb_open = json.find('[', hb);
-  const std::size_t hb_end = match_delim(json, hb_open, '[', ']');
-  if (hb_end == std::string::npos) {
-    res.error = "unterminated \"heartbeats\" array";
-    return res;
-  }
-  std::size_t cursor = hb_open + 1;
-  while (cursor < hb_end) {
-    const std::size_t open = json.find('{', cursor);
-    if (open == std::string::npos || open >= hb_end) break;
-    const std::size_t close = match_delim(json, open, '{', '}');
-    if (close == std::string::npos) {
-      res.error = "unterminated heartbeat row";
-      return res;
+  std::string policy;
+  std::uint64_t deadline = 0;
+  std::uint64_t effective = 0;
+  std::uint64_t interval = 0;
+  std::uint64_t stall = 0;
+  std::string root_cause;
+  std::string stalled;
+  std::string host;
+  try {
+    const json::Ref doc(dump);
+    if (!doc.get_or("watchdog_dump", false))
+      refuse(
+          "not a watchdog dump (missing \"watchdog_dump\" marker; expected "
+          "sim::write_watchdog_dump output)");
+    check_schema_ceiling(doc, "watchdog JSON", kWatchdogSchemaMax);
+    res.origin = doc.get_or("origin", std::string());
+    if (res.origin.empty()) res.origin = "machine";
+    policy = doc.get_or("policy", std::string());
+    res.trips = doc["trips"].uint64();
+    res.near_misses = doc["near_misses"].uint64();
+    deadline = doc["deadline_ms"].uint64();
+    effective = doc["effective_deadline_ms"].uint64();
+    interval = doc["interval_ms"].uint64();
+    stall = doc["stall_ms"].uint64();
+    const std::optional<json::Ref> beats = doc.find("heartbeats");
+    if (!beats) refuse("watchdog dump without a \"heartbeats\" array");
+    for (const json::Ref& row : beats->items())
+      res.slots.push_back({row["slot"].str(), row["beats"].uint64(),
+                           row["age_ms"].uint64(), row["activity"].str(),
+                           row["terminal"].boolean()});
+    // The replayed Diagnosis, when the dump carries one: the root cause
+    // in protocol terms, ahead of the raw heartbeat evidence.
+    if (const std::optional<json::Ref> diag = doc.find("diagnosis")) {
+      root_cause = diag->get_or("summary", std::string());
+      if (const std::optional<json::Ref> nodes = diag->find("stalled")) {
+        for (const json::Ref& node : nodes->items())
+          stalled += (stalled.empty() ? "" : ", ") +
+                     std::to_string(node.uint64());
+        if (!stalled.empty())
+          stalled = "[" + stalled + "] in phase " +
+                    diag->get_or("root_phase", std::string());
+      }
     }
-    const std::string row = json.substr(open, close - open);
-    StuckSlot slot;
-    slot.slot = string_field(row, "slot");
-    slot.beats = static_cast<std::uint64_t>(num_or(row, "beats", 0.0));
-    slot.age_ms = static_cast<std::uint64_t>(num_or(row, "age_ms", 0.0));
-    slot.activity = string_field(row, "activity");
-    slot.terminal = row.find("\"terminal\": true") != std::string::npos;
-    res.slots.push_back(std::move(slot));
-    cursor = close;
+    if (const std::optional<json::Ref> hp = doc.find("host_profile"))
+      host = std::to_string(hp->get_or("shards", std::uint64_t{0})) +
+             " shard(s), " +
+             std::to_string(hp->get_or("tasks_resumed", std::uint64_t{0})) +
+             " task(s) resumed, " +
+             std::to_string(
+                 hp->get_or("quiescence_checks", std::uint64_t{0})) +
+             " quiescence check(s)";
+  } catch (const json::Error& e) {
+    res.error = e.what();
+    return res;
   }
   // Culprit-first ordering: live slots by silence, retired slots last.
   std::stable_sort(res.slots.begin(), res.slots.end(),
@@ -1632,26 +1391,8 @@ StuckResult stuck_report(const std::string& json) {
       << " ms, effective " << effective << " ms, polled every " << interval
       << " ms)\n";
 
-  // The replayed Diagnosis, when the dump carries one: the root cause in
-  // protocol terms, ahead of the raw heartbeat evidence.
-  const std::size_t dg = json.find("\"diagnosis\": {");
-  if (dg != std::string::npos) {
-    const std::size_t open = json.find('{', dg);
-    const std::size_t end = match_delim(json, open, '{', '}');
-    if (end != std::string::npos) {
-      const std::string block = json.substr(open, end - open);
-      const std::string summary = string_field(block, "summary");
-      if (!summary.empty()) out << "  root cause: " << summary << "\n";
-      const std::size_t st = block.find("\"stalled\": [");
-      if (st != std::string::npos) {
-        const std::size_t sopen = block.find('[', st);
-        const std::size_t send = block.find(']', sopen);
-        if (send != std::string::npos && send > sopen + 1)
-          out << "  stalled nodes: [" << block.substr(sopen + 1, send - sopen - 1)
-              << "] in phase " << string_field(block, "root_phase") << "\n";
-      }
-    }
-  }
+  if (!root_cause.empty()) out << "  root cause: " << root_cause << "\n";
+  if (!stalled.empty()) out << "  stalled nodes: " << stalled << "\n";
 
   if (res.slots.empty()) {
     out << "  heartbeats: none recorded\n";
@@ -1674,20 +1415,7 @@ StuckResult stuck_report(const std::string& json) {
       out << "  most silent: none (every slot retired in order)\n";
   }
 
-  const std::size_t hp = json.find("\"host_profile\": {");
-  if (hp != std::string::npos) {
-    const std::size_t open = json.find('{', hp);
-    const std::size_t end = match_delim(json, open, '{', '}');
-    if (end != std::string::npos) {
-      const std::string block = json.substr(open, end - open);
-      out << "  host: " << static_cast<long>(num_or(block, "shards", 0.0))
-          << " shard(s), "
-          << static_cast<long>(num_or(block, "tasks_resumed", 0.0))
-          << " task(s) resumed, "
-          << static_cast<long>(num_or(block, "quiescence_checks", 0.0))
-          << " quiescence check(s)\n";
-    }
-  }
+  if (!host.empty()) out << "  host: " << host << "\n";
 
   out << "  verdict: "
       << (res.trips > 0
@@ -1701,21 +1429,28 @@ StuckResult stuck_report(const std::string& json) {
   return res;
 }
 
+StuckResult stuck_report(const std::string& json) {
+  return read_text<StuckResult>(
+      json, kDumpDoc, [](const json::Value& doc) { return stuck_report(doc); });
+}
+
 // ---------------------------------------------------------------------------
 // CLI
 
 namespace {
 
-bool slurp(const std::string& path, std::string* out, std::string* err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *err = "cannot open " + path;
+/// Parses the file at `path` for `ftdiag cmd`; on failure prints the
+/// refusal (file path, byte offset, what was expected) and returns false.
+bool load(const char* cmd, const std::string& path, const char* expect,
+          json::Value* doc, std::ostream& err) {
+  try {
+    *doc = json::parse_file(path);
+    return true;
+  } catch (const json::Error& e) {
+    err << "ftdiag " << cmd << ": " << parse_failure(e.what(), expect)
+        << "\n";
     return false;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
 }
 
 int usage(std::ostream& err) {
@@ -1750,6 +1485,35 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
             std::ostream& err) {
   if (argc < 2) return usage(err);
   const std::string cmd = argv[1];
+  const char* c = cmd.c_str();
+
+  // A reader's text on success (then `code`), its refusal on failure (2).
+  // `where` prefixes the refusal: the file of a one-file report; diffs
+  // name "first file"/"second file" themselves.
+  const auto emit = [&](const std::string& where, const auto& res,
+                        int code) {
+    if (!res.ok) {
+      err << "ftdiag " << cmd << ": " << where << res.error << "\n";
+      return 2;
+    }
+    out << res.text;
+    return code;
+  };
+  // Optional `--threshold PCT` as argv[at], argv[at + 1].
+  const auto threshold_at = [&](int at, double* pct) {
+    if (argc <= at) return true;
+    char* end = nullptr;
+    *pct = std::strtod(argv[at + 1], &end);
+    return std::string(argv[at]) == "--threshold" && end != argv[at + 1] &&
+           *pct >= 0.0;
+  };
+  json::Value da;
+  json::Value db;
+  const auto load2 = [&](const char* expect) {
+    return load(c, argv[2], expect, &da, err) &&
+           load(c, argv[3], expect, &db, err);
+  };
+  const std::string first = argc > 2 ? std::string(argv[2]) + ": " : "";
 
   if (cmd == "--version" || cmd == "version") {
     out << "ftdiag schemas:\n";
@@ -1761,50 +1525,22 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
 
   if (cmd == "explain") {
     if (argc != 3) return usage(err);
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag explain: " << why << "\n";
-      return 2;
-    }
-    const ExplainResult res = explain_trace_json(text);
-    if (!res.ok) {
-      err << "ftdiag explain: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return 0;
+    if (!load(c, argv[2], kTraceDoc, &da, err)) return 2;
+    return emit(first, explain_trace_json(da), 0);
   }
 
   if (cmd == "diff") {
-    if (argc != 4 && argc != 6) return usage(err);
     double threshold = 20.0;
-    if (argc == 6) {
-      if (std::string(argv[4]) != "--threshold") return usage(err);
-      char* end = nullptr;
-      threshold = std::strtod(argv[5], &end);
-      if (end == argv[5] || threshold < 0.0) return usage(err);
-    }
-    std::string ta;
-    std::string tb;
-    std::string why;
-    if (!slurp(argv[2], &ta, &why) || !slurp(argv[3], &tb, &why)) {
-      err << "ftdiag diff: " << why << "\n";
-      return 2;
-    }
-    const DiffResult res = diff_json(ta, tb, threshold);
-    if (!res.ok) {
-      err << "ftdiag diff: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return res.regressions > 0 ? 1 : 0;
+    if ((argc != 4 && argc != 6) || !threshold_at(4, &threshold))
+      return usage(err);
+    if (!load2(kExportDoc)) return 2;
+    const DiffResult res = diff_json(da, db, threshold);
+    return emit("", res, res.regressions > 0 ? 1 : 0);
   }
 
   if (cmd == "hotspots") {
     // One file = report mode (optionally --top K); two files = diff mode
     // (optionally --threshold PCT).
-    std::string why;
     if (argc == 3 || (argc == 5 && std::string(argv[3]) == "--top")) {
       std::size_t top_k = 0;
       if (argc == 5) {
@@ -1813,84 +1549,31 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         if (end == argv[4] || k <= 0) return usage(err);
         top_k = static_cast<std::size_t>(k);
       }
-      std::string text;
-      if (!slurp(argv[2], &text, &why)) {
-        err << "ftdiag hotspots: " << why << "\n";
-        return 2;
-      }
-      const HotspotsResult res = hotspots_report(text, top_k);
-      if (!res.ok) {
-        err << "ftdiag hotspots: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return 0;
+      if (!load(c, argv[2], kExportDoc, &da, err)) return 2;
+      return emit(first, hotspots_report(da, top_k), 0);
     }
-    if (argc == 4 || (argc == 6 && std::string(argv[4]) == "--threshold")) {
-      double threshold = 20.0;
-      if (argc == 6) {
-        char* end = nullptr;
-        threshold = std::strtod(argv[5], &end);
-        if (end == argv[5] || threshold < 0.0) return usage(err);
-      }
-      std::string ta;
-      std::string tb;
-      if (!slurp(argv[2], &ta, &why) || !slurp(argv[3], &tb, &why)) {
-        err << "ftdiag hotspots: " << why << "\n";
-        return 2;
-      }
-      const HotspotsResult res = hotspots_diff(ta, tb, threshold);
-      if (!res.ok) {
-        err << "ftdiag hotspots: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return res.regressions > 0 ? 1 : 0;
-    }
-    return usage(err);
+    double threshold = 20.0;
+    if ((argc != 4 && argc != 6) || !threshold_at(4, &threshold))
+      return usage(err);
+    if (!load2(kExportDoc)) return 2;
+    const HotspotsResult res = hotspots_diff(da, db, threshold);
+    return emit("", res, res.regressions > 0 ? 1 : 0);
   }
 
   if (cmd == "campaign") {
     // One file = summary report; two files = reliability-curve diff
     // (optionally --threshold PCT; default 0 — campaigns are
     // deterministic, so same-spec reports must match exactly).
-    std::string why;
     if (argc == 3) {
-      std::string text;
-      if (!slurp(argv[2], &text, &why)) {
-        err << "ftdiag campaign: " << why << "\n";
-        return 2;
-      }
-      const CampaignCliResult res = campaign_report(text);
-      if (!res.ok) {
-        err << "ftdiag campaign: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return 0;
+      if (!load(c, argv[2], kCampaignDoc, &da, err)) return 2;
+      return emit(first, campaign_report(da), 0);
     }
-    if (argc == 4 || (argc == 6 && std::string(argv[4]) == "--threshold")) {
-      double threshold = 0.0;
-      if (argc == 6) {
-        char* end = nullptr;
-        threshold = std::strtod(argv[5], &end);
-        if (end == argv[5] || threshold < 0.0) return usage(err);
-      }
-      std::string ta;
-      std::string tb;
-      if (!slurp(argv[2], &ta, &why) || !slurp(argv[3], &tb, &why)) {
-        err << "ftdiag campaign: " << why << "\n";
-        return 2;
-      }
-      const CampaignCliResult res = campaign_diff(ta, tb, threshold);
-      if (!res.ok) {
-        err << "ftdiag campaign: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return res.regressions > 0 ? 1 : 0;
-    }
-    return usage(err);
+    double threshold = 0.0;
+    if ((argc != 4 && argc != 6) || !threshold_at(4, &threshold))
+      return usage(err);
+    if (!load2(kCampaignDoc)) return 2;
+    const CampaignCliResult res = campaign_diff(da, db, threshold);
+    return emit("", res, res.regressions > 0 ? 1 : 0);
   }
 
   if (cmd == "history") {
@@ -1909,27 +1592,19 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         const long k = std::strtol(val, &end, 10);
         if (end == val || k <= 0) return usage(err);
         last_k = static_cast<std::size_t>(k);
-      } else if (flag == "--threshold") {
-        char* end = nullptr;
-        threshold = std::strtod(val, &end);
-        if (end == val || threshold < 0.0) return usage(err);
-      } else {
+      } else if (!threshold_at(i, &threshold)) {
         return usage(err);
       }
     }
     std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag history: " << why << "\n";
+    try {
+      text = json::load_text(argv[2]);
+    } catch (const json::Error& e) {
+      err << "ftdiag history: " << e.what() << "\n";
       return 2;
     }
     const HistoryResult res = history_trends(text, metric, last_k, threshold);
-    if (!res.ok) {
-      err << "ftdiag history: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return res.regressions > 0 ? 1 : 0;
+    return emit(first, res, res.regressions > 0 ? 1 : 0);
   }
 
   if (cmd == "lineage") {
@@ -1961,37 +1636,16 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     // The three modes are exclusive: each picks its own rendering.
     if ((key >= 0 ? 1 : 0) + (top_n > 0 ? 1 : 0) + (audit_only ? 1 : 0) > 1)
       return usage(err);
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag lineage: " << why << "\n";
-      return 2;
-    }
-    const LineageCliResult res =
-        lineage_report(text, key, top_n, audit_only);
-    if (!res.ok) {
-      err << "ftdiag lineage: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return (res.audit_checked && !res.audit_ok) ? 1 : 0;
+    if (!load(c, argv[2], kLineageDoc, &da, err)) return 2;
+    const LineageCliResult res = lineage_report(da, key, top_n, audit_only);
+    return emit(first, res, (res.audit_checked && !res.audit_ok) ? 1 : 0);
   }
 
   if (cmd == "stuck") {
     if (argc != 3) return usage(err);
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag stuck: " << why << "\n";
-      return 2;
-    }
-    const StuckResult res = stuck_report(text);
-    if (!res.ok) {
-      err << "ftdiag stuck: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return res.trips > 0 ? 1 : 0;
+    if (!load(c, argv[2], kDumpDoc, &da, err)) return 2;
+    const StuckResult res = stuck_report(da);
+    return emit(first, res, res.trips > 0 ? 1 : 0);
   }
 
   return usage(err);
